@@ -22,12 +22,13 @@ from pathlib import Path
 
 from . import __version__
 from .contour import (
+    ContourError,
     ToleranceError,
     annular_decomposition,
     full_circle,
     lemma_cauchy_bound_check,
 )
-from .criterion import RoadrunnerFamily, lord_ofarrell_series
+from .criterion import CriterionError, RoadrunnerFamily, lord_ofarrell_series
 from .experiments import functional_sweep, nontangential_limit
 from .geometry import (
     ConeSpec,
@@ -223,8 +224,14 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
     )
 
 
-def config_hash(raw: dict, seed: int) -> str:
-    canon = json.dumps({"config": raw, "seed": seed}, sort_keys=True, separators=(",", ":"))
+def config_hash(raw: dict, seed: int, quad_tol: float | None = None) -> str:
+    """Key of a run's results: the raw config, the effective seed and
+    quadrature tolerance (after `--seed` and `--tol`) and the tool version."""
+    canon = json.dumps(
+        {"config": raw, "seed": seed, "quad_tol": quad_tol, "version": __version__},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -290,7 +297,7 @@ class RunContext:
 
     @property
     def hash(self) -> str:
-        return config_hash(self.cfg.raw, self.cfg.seed)
+        return config_hash(self.cfg.raw, self.cfg.seed, self.cfg.quad_tol)
 
     @property
     def cache_dir(self) -> Path:
@@ -529,7 +536,7 @@ def main(argv=None) -> int:
     except ToleranceError as e:
         print(f"numerical tolerance failure: {e}", file=sys.stderr)
         return 3
-    except (GeometryError, GalleryError, ContentError) as e:
+    except (GeometryError, GalleryError, ContentError, CriterionError, ContourError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

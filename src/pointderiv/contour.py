@@ -6,6 +6,7 @@ kernel seminorm ratios.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -192,6 +193,12 @@ class ContourPath:
 # Adaptive quadrature
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_MAX_DEPTH = 48
+# Most panels refined per integrand call.  The package's integrals stay far
+# below it, so each of their refinement levels is one call.  Beyond it the
+# leftmost panels go first, as in a depth-first search; that bounds the work
+# and memory an integral spends before it fails at _MAX_DEPTH.
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -201,30 +208,23 @@ class QuadratureResult:
     evaluations: int
 
 
-def _gl(F, a: float, b: float, stats: list) -> complex:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = F(mid + half * _GL_NODES)
-    stats[0] += len(_GL_NODES)
-    return half * complex(np.sum(vals * _GL_WEIGHTS))
+def _panel_sums(prims, idx, lo, hi, integrand) -> np.ndarray:
+    """15-point Gauss-Legendre sums over [lo, hi] on `prims[idx]`, from one
+    `integrand` call.
 
-
-def _adaptive(F, a: float, b: float, tol: float, stats: list, depth: int = 0):
-    coarse = _gl(F, a, b, stats)
-    m = 0.5 * (a + b)
-    fine = _gl(F, a, m, stats) + _gl(F, m, b, stats)
-    err = abs(fine - coarse)
-    if err <= tol or err <= 1e-16 * (1.0 + abs(fine)):
-        return fine, err
-    if depth >= 48:
-        raise ToleranceError(
-            f"adaptive quadrature stalled on [{a}, {b}] (err {err:.3g} > tol {tol:.3g})",
-            best=fine,
-            error_estimate=err,
-        )
-    v1, e1 = _adaptive(F, a, m, tol / 2.0, stats, depth + 1)
-    v2, e2 = _adaptive(F, m, b, tol / 2.0, stats, depth + 1)
-    return v1 + v2, e1 + e2
+    `lo` and `hi` hold one row of panels per entry of the sorted `idx`.  Each
+    sum is reduced along the node axis on its own, so a panel's sum does not
+    depend on which other panels share the call.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    t = mid[..., None] + half[..., None] * _GL_NODES
+    cut = np.searchsorted(idx, np.arange(len(prims) + 1)).tolist()
+    parts = [(p, t[i:j]) for p, i, j in zip(prims, cut, cut[1:]) if i < j]
+    z = np.concatenate([p.point(s) for p, s in parts])
+    vel = np.concatenate([p.velocity(s) for p, s in parts])
+    vals = np.asarray(integrand(z.ravel())) * vel.ravel()
+    return half * np.sum(vals.reshape(t.shape) * _GL_WEIGHTS, axis=-1)
 
 
 def integrate_contour(
@@ -238,6 +238,20 @@ def integrate_contour(
 
     `integrand` must accept a complex numpy array.  If `poles` is given, the
     sampled path must stay at least `pole_clearance` away from each of them.
+
+    Each primitive, parametrised over [0, 1], gets the share of `tol` given
+    by its length.  A panel compares the 15-point Gauss-Legendre sum over
+    itself (coarse) with the sum over its two halves (fine).  It accepts fine
+    when |fine - coarse| <= its tolerance or <= 1e-16 (1 + |fine|); otherwise
+    it splits into its halves, each with half its tolerance, and the coarse
+    sum of a half is the parent's sum over it.  A panel at depth 48 that
+    still fails raises `ToleranceError`, the first such panel in path order.
+    Refinement is level synchronous: the active panels of all primitives,
+    up to `_BATCH` of them, are evaluated in one `integrand` call per level.
+    Accepted values and error estimates are added bottom-up, left half plus
+    right half, then primitive by primitive in path order, so every result
+    equals that of the depth-first recursion bit for bit.  `evaluations`
+    counts integrand points.
     """
     if tol <= 0:
         raise ContourError("tolerance must be positive")
@@ -251,21 +265,80 @@ def integrate_contour(
                 raise PoleTooCloseError(
                     f"pole {p} is within {clearance} of the integration path"
                 )
+    prims = path.segments
+    n = len(prims)
     total_len = path.total_length
-    stats = [0]
-    value = 0j
-    err = 0.0
-    for prim in path.segments:
-        frac = prim.length / total_len if total_len > 0 else 1.0 / len(path.segments)
-
-        def F(t, prim=prim):
-            z = prim.point(t)
-            return np.asarray(integrand(z)) * prim.velocity(t)
-
-        v, e = _adaptive(F, 0.0, 1.0, tol * frac, stats)
-        value += v
-        err += e
-    return QuadratureResult(value=value, error_estimate=err, evaluations=stats[0])
+    tols = np.array([tol * (p.length / total_len if total_len > 0 else 1.0 / n) for p in prims])
+    idx, lo, hi, ids, depth = np.arange(n), np.zeros(n), np.ones(n), np.arange(n), np.zeros(n, int)
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = _panel_sums(
+        prims, idx, np.stack([lo, lo, mid], -1), np.stack([hi, mid, hi], -1), integrand
+    ).T
+    evaluations = 3 * n * len(_GL_NODES)
+    # panels awaiting refinement, in path order: idx, lo, hi, tols, coarse, ids, depth
+    rest = [a[:0] for a in (idx, lo, hi, tols, coarse, ids, depth)]
+    records = []
+    failure = None
+    next_id = n
+    while True:
+        fine = left + right
+        diff = fine - coarse
+        err = np.hypot(diff.real, diff.imag)
+        done = (err <= tols) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag)))
+        failed = np.flatnonzero(~done & (depth >= _MAX_DEPTH))
+        keep = len(done)
+        if failed.size:
+            # a depth-first search raises here before it reaches any panel
+            # further right, so those panels are dropped
+            keep = failed[0]
+            failure = (lo[keep], hi[keep], tols[keep], fine[keep], err[keep])
+            rest = [a[:0] for a in rest]
+        split = np.flatnonzero(~done[:keep])
+        child = np.full(len(done), -1)
+        child[split] = next_id + 2 * np.arange(len(split))
+        records.append((ids, fine, err, depth, child))
+        children = [
+            np.repeat(idx[split], 2),
+            np.stack([lo[split], mid[split]], -1).ravel(),
+            np.stack([mid[split], hi[split]], -1).ravel(),
+            np.repeat(tols[split] / 2.0, 2),
+            np.stack([left[split], right[split]], -1).ravel(),
+            next_id + np.arange(2 * len(split)),
+            np.repeat(depth[split] + 1, 2),
+        ]
+        next_id += 2 * len(split)
+        queue = [np.concatenate([c, r]) for c, r in zip(children, rest)]
+        if not len(queue[0]):
+            break
+        idx, lo, hi, tols, coarse, ids, depth = (a[:_BATCH] for a in queue)
+        rest = [a[_BATCH:] for a in queue]
+        mid = 0.5 * (lo + hi)
+        left, right = _panel_sums(
+            prims, idx, np.stack([lo, mid], -1), np.stack([mid, hi], -1), integrand
+        ).T
+        evaluations += 2 * len(idx) * len(_GL_NODES)
+    if failure is not None:
+        a, b, t, best, err = failure
+        raise ToleranceError(
+            f"adaptive quadrature stalled on [{float(a)}, {float(b)}] "
+            f"(err {err:.3g} > tol {t:.3g})",
+            best=complex(best),
+            error_estimate=float(err),
+        )
+    value, error = np.empty(next_id, complex), np.empty(next_id)
+    level, child = np.empty(next_id, int), np.empty(next_id, int)
+    for ids, fine, err, depth, kids in records:
+        value[ids], error[ids], level[ids], child[ids] = fine, err, depth, kids
+    for d in range(level.max() - 1, -1, -1):
+        node = np.flatnonzero((level == d) & (child >= 0))
+        kid = child[node]
+        value[node] = value[kid] + value[kid + 1]
+        error[node] = error[kid] + error[kid + 1]
+    total, total_err = 0j, 0.0
+    for v, e in zip(value[:n].tolist(), error[:n].tolist()):
+        total += v
+        total_err += e
+    return QuadratureResult(value=total, error_estimate=total_err, evaluations=evaluations)
 
 
 def winding_number(path: ContourPath, z0: complex, tol: float = 1e-8) -> float:
@@ -275,8 +348,13 @@ def winding_number(path: ContourPath, z0: complex, tol: float = 1e-8) -> float:
 
 # ---------------------------------------------------------------------------
 # Contour builders
+#
+# A builder's path depends only on its hashable, frozen arguments, so each
+# distinct path is built, and checked for simplicity, once; every caller then
+# shares the same immutable `ContourPath`.
 
 
+@functools.lru_cache(maxsize=256)
 def build_keyhole(cone: ConeSpec, N: int, M: int) -> ContourPath:
     """Positively oriented boundary of (sector of radius 2^-M) union B_N.
 
@@ -303,6 +381,7 @@ def build_keyhole(cone: ConeSpec, N: int, M: int) -> ContourPath:
     return ContourPath(prims, closed=True)
 
 
+@functools.lru_cache(maxsize=256)
 def build_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
     """Positively oriented boundary of D_n = (dyadic annulus n) minus the cone."""
     ri, ro = annulus_radii(n)
@@ -345,6 +424,24 @@ def default_inner_index(x: complex, cone: ConeSpec, minimum: int = 2) -> int:
     return max(minimum, int(math.ceil(-math.log2(r / 4.0))))
 
 
+def _inner_index(f: GalleryFunction, x: complex, cone: ConeSpec) -> int:
+    """Default inner index for f: at least `default_inner_index(x, cone)`, and
+    large enough that no singularity of f lies in |z - vertex| <= 2^-N, where
+    its residue would enter the Cauchy integral."""
+    v = cone.vertex
+    dist = min(
+        [abs(p - v) for p, _ in f.rational_terms]
+        + [abs(d.center - v) - d.radius for d, _ in f.ct_terms],
+        default=math.inf,
+    )
+    if dist <= 0.0:
+        raise ContourError("a Cauchy-transform disk of f reaches the cone vertex")
+    N = default_inner_index(x, cone)
+    while 2.0**-N >= dist:
+        N += 1
+    return N
+
+
 def quotient_via_cauchy(
     f: GalleryFunction,
     x: complex,
@@ -358,7 +455,7 @@ def quotient_via_cauchy(
     if complex(f.base_point) != complex(v):
         raise ContourError("gallery base point must equal the cone vertex")
     if N is None:
-        N = default_inner_index(x, cone)
+        N = _inner_index(f, x, cone)
     _check_x_admissible(x, cone, N, M)
     path = build_keyhole(cone, N, M)
 
@@ -395,7 +492,7 @@ def annular_decomposition(
     if complex(f.base_point) != complex(v):
         raise ContourError("gallery base point must equal the cone vertex")
     if N is None:
-        N = default_inner_index(x, cone)
+        N = _inner_index(f, x, cone)
     if N == M:
         # degenerate split: no annular pieces, plain circle Cauchy formula
         if not (abs(x - v) < 2.0**-M and cone.contains(x, closed=False)):

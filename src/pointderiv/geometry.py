@@ -153,6 +153,8 @@ class Ray:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", _require_finite(self.origin, "ray origin"))
+        if not math.isfinite(self.direction):
+            raise GeometryError(f"ray direction must be finite, got {self.direction}")
         if not (math.isfinite(self.length) and self.length > 0):
             raise GeometryError("ray length must be positive")
 
@@ -177,6 +179,8 @@ class ConeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "vertex", _require_finite(self.vertex, "cone vertex"))
+        if not math.isfinite(self.direction):
+            raise GeometryError(f"cone direction must be finite, got {self.direction}")
         if not (0.0 < self.half_angle < math.pi / 2):
             raise GeometryError("half_angle must lie in (0, pi/2)")
         if not (math.isfinite(self.length) and self.length > 0):

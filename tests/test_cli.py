@@ -120,6 +120,23 @@ def test_decompose_tolerance_failure_exit_3(tmp_path, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+def test_tol_override_is_not_a_cache_hit(tmp_path, capsys):
+    # the cache key covers the effective tolerance, not just the raw config
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert run("decompose", p, out) == 0
+    capsys.readouterr()
+    assert run("decompose", p, out, "--tol", "1e-30") == 3
+    assert "cache hit" not in capsys.readouterr().out
+
+
+def test_n_max_zero_exit_2(tmp_path, capsys):
+    p = write_config(tmp_path, {"n_max": 0})
+    assert run("criterion", p, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_lemma_check_command(tmp_path, capsys):
     p = write_config(tmp_path, {"lemma": {"radii": [0.4, 0.2]}})
     assert run("lemma-check", p, tmp_path / "o") == 0

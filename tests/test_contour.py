@@ -18,6 +18,7 @@ from pointderiv import (
     annulus_radii,
     build_annular_piece,
     build_keyhole,
+    build_test_gallery,
     conjugate_function,
     full_circle,
     integrate_contour,
@@ -26,9 +27,60 @@ from pointderiv import (
     quotient_via_cauchy,
     winding_number,
 )
-from pointderiv.contour import ToleranceError, default_inner_index
+from pointderiv import contour
+from pointderiv.contour import _GL_NODES, _GL_WEIGHTS, ToleranceError, default_inner_index
 
 CONE = ConeSpec(vertex=0j, direction=math.pi, half_angle=math.pi / 6, length=0.5, k=0.45)
+
+
+# ---------------------------------------------------------------------------
+# Reference quadrature: the recursive depth-first adaptive Gauss-Legendre
+# rule that `integrate_contour` evaluates level by level.
+
+
+def _gl_reference(F, a, b, stats):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = F(mid + half * _GL_NODES)
+    stats[0] += len(_GL_NODES)
+    return half * complex(np.sum(vals * _GL_WEIGHTS))
+
+
+def _adaptive_reference(F, a, b, tol, stats, depth=0):
+    coarse = _gl_reference(F, a, b, stats)
+    m = 0.5 * (a + b)
+    fine = _gl_reference(F, a, m, stats) + _gl_reference(F, m, b, stats)
+    err = abs(fine - coarse)
+    if err <= tol or err <= 1e-16 * (1.0 + abs(fine)):
+        return fine, err
+    if depth >= 48:
+        raise ToleranceError("stalled", best=fine, error_estimate=err)
+    v1, e1 = _adaptive_reference(F, a, m, tol / 2.0, stats, depth + 1)
+    v2, e2 = _adaptive_reference(F, m, b, tol / 2.0, stats, depth + 1)
+    return v1 + v2, e1 + e2
+
+
+def integrate_reference(path, integrand, tol=1e-10):
+    """(value, error estimate, evaluations) of the recursive rule."""
+    total_len = path.total_length
+    stats = [0]
+    value = 0j
+    err = 0.0
+    for prim in path.segments:
+        frac = prim.length / total_len if total_len > 0 else 1.0 / len(path.segments)
+
+        def F(t, prim=prim):
+            return np.asarray(integrand(prim.point(t))) * prim.velocity(t)
+
+        v, e = _adaptive_reference(F, 0.0, 1.0, tol * frac, stats)
+        value += v
+        err += e
+    return value, err, stats[0]
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +179,75 @@ def test_quadrature_primitive_order_independent():
     assert abs(v1 - v2) <= 1e-12
 
 
+REFERENCE_PATHS = {
+    "keyhole": lambda: build_keyhole(CONE, N=10, M=1),
+    **{
+        f"annulus{n}": (lambda n=n: build_annular_piece(n, CONE).reversed())
+        for n in range(1, 11)
+    },
+    "circle": lambda: full_circle(0j, 0.5),
+}
+
+
+@pytest.mark.parametrize("batch", [contour._BATCH, 1])
+@pytest.mark.parametrize("path_name", sorted(REFERENCE_PATHS))
+def test_quadrature_matches_recursive_reference(path_name, batch, gallery, monkeypatch):
+    # batch 1 refines one panel per integrand call, leftmost first
+    monkeypatch.setattr(contour, "_BATCH", batch)
+    # gallery[1] is a polynomial, [8] a pole, [15] a Cauchy transform
+    path = REFERENCE_PATHS[path_name]()
+    x = -0.1
+    integrands = [np.conj] + [
+        (lambda z, f=f: f(z) / (z * (z - x))) for f in (gallery[1], gallery[8], gallery[15])
+    ]
+    for integrand in integrands:
+        res = integrate_contour(path, integrand, tol=1e-10)
+        value, err, evaluations = integrate_reference(path, integrand, tol=1e-10)
+        assert _bits(res.value) == _bits(value)
+        assert res.error_estimate.hex() == err.hex()
+        # a primitive that needs no refinement costs 45 points either way;
+        # each refined panel reuses its parent's half sums
+        refined = evaluations > 3 * len(_GL_NODES) * len(path.segments)
+        assert res.evaluations < evaluations if refined else res.evaluations == evaluations
+
+
+def test_quadrature_pole_on_path_raises_like_reference():
+    path = full_circle(0j, 1.0)
+
+    def integrand(z):
+        return 1.0 / (z - 1.0)
+
+    with pytest.raises(ToleranceError) as got:
+        integrate_contour(path, integrand, tol=1e-10)
+    with pytest.raises(ToleranceError) as want:
+        integrate_reference(path, integrand, tol=1e-10)
+    assert got.value.best is not None and got.value.error_estimate is not None
+    assert _bits(got.value.best) == _bits(want.value.best)
+    assert got.value.error_estimate == want.value.error_estimate
+
+
+def test_builders_memoised_and_checked_once(monkeypatch):
+    checks = []
+    check = ContourPath._check_simple
+
+    def counted(self, *args):
+        checks.append(self)
+        return check(self, *args)
+
+    monkeypatch.setattr(ContourPath, "_check_simple", counted)
+    cone = ConeSpec(0j, math.pi, math.pi / 6, 0.4999, 0.45)  # used by no other test
+    first = build_annular_piece(4, cone)
+    assert build_annular_piece(4, ConeSpec(0j, math.pi, math.pi / 6, 0.4999, 0.45)) is first
+    assert build_keyhole(cone, 6, 2) is build_keyhole(cone, 6, 2)
+    assert len(checks) == 2
+    short = ConeSpec(0j, math.pi, math.pi / 6, 0.1, 0.45)
+    for _ in range(2):
+        with pytest.raises(ContourError):
+            build_annular_piece(1, short)
+        with pytest.raises(ContourError):
+            build_keyhole(short, N=5, M=2)
+
+
 # ---------------------------------------------------------------------------
 # Cauchy quotient and decomposition
 
@@ -156,6 +277,21 @@ def test_quotient_default_inner_index():
     f = GalleryFunction(poly_coeffs=(0, 1))
     q = quotient_via_cauchy(f, -0.1, CONE, M=1, tol=1e-10)
     assert abs(q - 1.0) <= 1e-8
+
+
+def test_default_inner_index_clears_singularities(domain):
+    # at x = -0.35 the index from |x| alone is 4, and 2^-4 encloses the holes
+    # from n = 5 on; every gallery function must still give f(x)/x
+    x = -0.35
+    assert default_inner_index(x, CONE) == 4
+    for f in build_test_gallery(domain, 27):
+        assert abs(quotient_via_cauchy(f, x, CONE, M=1) - f(x) / x) <= 1e-9
+        assert annular_decomposition(f, x, CONE, M=1).residual <= 2e-10
+
+
+def test_default_inner_index_rejects_disk_at_vertex():
+    with pytest.raises(ContourError):
+        quotient_via_cauchy(conjugate_function(), -0.1, CONE, M=1)
 
 
 def test_quotient_rejects_x_outside_cone():

@@ -25,6 +25,18 @@ def test_disk_rejects_bad_radius():
         Disk(complex(float("nan"), 0.0), 1.0)
 
 
+@pytest.mark.parametrize("direction", [float("nan"), float("inf")])
+def test_ray_rejects_non_finite_direction(direction):
+    with pytest.raises(GeometryError):
+        Ray(0j, direction, 0.25)
+
+
+@pytest.mark.parametrize("direction", [float("nan"), float("inf")])
+def test_cone_rejects_non_finite_direction(direction):
+    with pytest.raises(GeometryError):
+        ConeSpec(0j, direction, math.pi / 6, 0.5, 0.45)
+
+
 def test_contains_interior_point():
     d = SwissCheeseDomain(base_point_kind="none")
     assert d.contains(0.5)
