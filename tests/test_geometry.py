@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from pointderiv import (
+    ClippedPiece,
     ConeSpec,
     Disk,
     GeometryError,
     Ray,
     SwissCheeseDomain,
     annulus_complement,
+    annulus_minus_cone_region,
     annulus_radii,
     validate_cone,
     verify_interior_cone,
 )
+from pointderiv.geometry import _point_set_diameter
 
 
 def test_disk_rejects_bad_radius():
@@ -203,6 +206,90 @@ def test_validate_cone(domain, cone):
     bad = ConeSpec(0j, 0.0, math.pi / 6, 0.5, 0.45)  # points at the holes
     with pytest.raises(GeometryError):
         validate_cone(domain, bad)
+
+
+def test_validate_cone_rejects_small_hole_inside():
+    # a hole far smaller than the spacing of any sampled check, on the axis
+    d = SwissCheeseDomain(holes=(Disk(-0.1 + 0.01j, 1e-4),))
+    with pytest.raises(GeometryError):
+        validate_cone(d, ConeSpec(0j, math.pi, math.pi / 6, 0.5, 0.45))
+
+
+UPPER_EDGE = np.exp(5j * math.pi / 6)  # of the cone opening along the negative axis
+
+
+@pytest.mark.parametrize(
+    "hole, ok",
+    [
+        (Disk(-0.56, 0.05), True),  # 0.06 beyond the arc
+        (Disk(-0.54, 0.05), False),  # 0.04 beyond the arc
+        # 0.03 off the upper edge, outside the sector
+        (Disk((0.3 - 0.03j) * UPPER_EDGE, 0.029), True),
+        (Disk((0.3 - 0.03j) * UPPER_EDGE, 0.031), False),
+    ],
+)
+def test_validate_cone_hole_distance_exact(hole, ok):
+    d = SwissCheeseDomain(holes=(hole,))
+    cone = ConeSpec(0j, math.pi, math.pi / 6, 0.5, 0.45)
+    if ok:
+        validate_cone(d, cone)
+    else:
+        with pytest.raises(GeometryError):
+            validate_cone(d, cone)
+
+
+def test_validate_cone_outer_disk():
+    d = SwissCheeseDomain(base_point_kind="puncture")
+    validate_cone(d, ConeSpec(0j, math.pi, math.pi / 6, 0.999, 0.45))
+    with pytest.raises(GeometryError):
+        validate_cone(d, ConeSpec(0j, math.pi, math.pi / 6, 1.0, 0.45))
+    # vertex on the outer circle: the sector may still lie inside the disk
+    on_circle = SwissCheeseDomain(base_point=1.0)
+    validate_cone(on_circle, ConeSpec(1 + 0j, math.pi, math.pi / 6, 1.5, 0.45))
+    with pytest.raises(GeometryError):
+        validate_cone(on_circle, ConeSpec(1 + 0j, math.pi, math.pi / 6, 1.8, 0.45))
+
+
+def _hull_diameter(pts):
+    """The former hull formula: all pairs of convex-hull vertices at once."""
+    spatial = pytest.importorskip("scipy.spatial")
+    xy = np.column_stack([pts.real, pts.imag])
+    hull = xy[spatial.ConvexHull(xy).vertices]
+    d2 = ((hull[:, None, :] - hull[None, :, :]) ** 2).sum(-1)
+    return float(np.sqrt(d2.max()))
+
+
+def test_piece_diameter_matches_hull_formula_bitwise():
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 60:
+        n = int(rng.integers(1, 12))
+        ri, ro = annulus_radii(n)
+        # centres on either annulus circle or between them
+        rc = (ri, ro, ri + (ro - ri) * rng.random())[checked % 3]
+        radius = (ro - ri) * (0.05 + 0.9 * rng.random())
+        hole = Disk(rc * np.exp(2j * math.pi * rng.random()), radius)
+        pts = ClippedPiece(hole, 0j, n, ri, ro, is_whole=False).boundary_samples()
+        if len(pts) < 3:
+            continue
+        assert _point_set_diameter(pts) == _hull_diameter(pts)
+        checked += 1
+
+
+@pytest.mark.parametrize("half_angle", [0.1, math.pi / 6, 1.5])
+def test_sector_diameter_matches_hull_formula_bitwise(half_angle):
+    cone = ConeSpec(0j, math.pi, half_angle, 0.5, 0.9 * math.sin(half_angle))
+    for n in range(1, 12):
+        region = annulus_minus_cone_region(cone, n)
+        assert region.diameter() == _hull_diameter(region.boundary_points(256))
+
+
+def test_point_set_diameter_small_sets():
+    assert _point_set_diameter(np.array([0.3 + 0.1j])) == 0.0
+    assert _point_set_diameter(np.array([0j, 3 + 4j])) == 5.0
+    # more points than one block; the farthest pair sits in different blocks
+    pts = np.concatenate([np.zeros(100), np.linspace(0, 1, 100) * 1j, [2.0 + 0j]])
+    assert _point_set_diameter(pts) == math.sqrt(5.0)
 
 
 def test_ray_point():
