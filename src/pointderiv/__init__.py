@@ -51,7 +51,6 @@ from .contour import (
     ContourPath,
     DecompositionReport,
     LemmaCheckReport,
-    PoleTooCloseError,
     QuadratureResult,
     Segment,
     ToleranceError,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import hashlib
 import json
 import math
@@ -78,10 +79,24 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+@contextlib.contextmanager
+def _section(where: str):
+    """Raise a missing key, a value of the wrong type or a rejected value met
+    while reading the config at key path `where` as a ConfigError naming it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as e:
+        raise ConfigError(f"{where}: missing key {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def _parse_domain(d: dict) -> SwissCheeseDomain:
     if "roadrunner" in d:
         rr = d["roadrunner"]
-        try:
+        with _section("domain.roadrunner"):
             fam = RoadrunnerFamily(
                 center_scale=float(rr.get("center_scale", 0.75)),
                 center_ratio=float(rr.get("center_ratio", 0.5)),
@@ -92,35 +107,29 @@ def _parse_domain(d: dict) -> SwissCheeseDomain:
                 truncation=int(rr.get("truncation", 9)),
             )
             return fam.domain()
-        except ValueError as e:
-            raise ConfigError(f"domain.roadrunner: {e}") from e
     outer = d.get("outer", {"center": 0.0, "radius": 1.0})
     holes = []
     for i, h in enumerate(d.get("holes", [])):
-        holes.append(Disk(_cplx(h["center"], f"holes[{i}].center"), float(h["radius"])))
-    try:
-        return SwissCheeseDomain(
-            outer=Disk(_cplx(outer["center"], "outer.center"), float(outer["radius"])),
-            holes=tuple(holes),
-            base_point=_cplx(d.get("base_point", 0.0), "base_point"),
-            base_point_kind=d.get("base_point_kind", "auto"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"domain: {e}") from e
+        with _section(f"domain.holes[{i}]"):
+            holes.append(Disk(_cplx(h["center"], f"holes[{i}].center"), float(h["radius"])))
+    with _section("domain.outer"):
+        outer = Disk(_cplx(outer["center"], "outer.center"), float(outer["radius"]))
+    return SwissCheeseDomain(
+        outer=outer,
+        holes=tuple(holes),
+        base_point=_cplx(d.get("base_point", 0.0), "base_point"),
+        base_point_kind=d.get("base_point_kind", "auto"),
+    )
 
 
 def _parse_gallery(spec, domain: SwissCheeseDomain) -> list[GalleryFunction]:
     if spec is None:
         spec = {"preset": "auto", "count": 6}
     if isinstance(spec, dict) and "preset" in spec:
-        count = int(spec.get("count", 6))
-        try:
-            return build_test_gallery(domain, count)
-        except ValueError as e:
-            raise ConfigError(f"gallery preset: {e}") from e
+        return build_test_gallery(domain, int(spec.get("count", 6)))
     funcs = []
     for i, g in enumerate(spec):
-        try:
+        with _section(f"gallery[{i}]"):
             f = GalleryFunction(
                 poly_coeffs=tuple(
                     _cplx(c, f"gallery[{i}].poly") for c in g.get("poly", [])
@@ -147,8 +156,6 @@ def _parse_gallery(spec, domain: SwissCheeseDomain) -> list[GalleryFunction]:
             )
             # poles and transform disks must sit in holes, so f is analytic on U
             f.validate_for_domain(domain)
-        except ValueError as e:
-            raise ConfigError(f"gallery[{i}]: {e}") from e
         funcs.append(f)
     if not funcs:
         raise ConfigError("gallery must define at least one function")
@@ -164,14 +171,16 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
         raise ConfigError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    alpha = float(raw.get("alpha", 0.5))
+    with _section("alpha"):
+        alpha = float(raw.get("alpha", 0.5))
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
-    domain = _parse_domain(raw.get("domain", {}))
+    with _section("domain"):
+        domain = _parse_domain(raw.get("domain", {}))
     cone = None
     if "cone" in raw:
         c = raw["cone"]
-        try:
+        with _section("cone"):
             cone = ConeSpec(
                 vertex=domain.base_point,
                 direction=float(c.get("direction", math.pi)),
@@ -180,30 +189,40 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
                 k=float(c.get("k", 0.45)),
             )
             validate_cone(domain, cone)
-        except ValueError as e:
-            raise ConfigError(f"cone: {e}") from e
     ray = None
     scales = 20
     if "ray" in raw:
         r = raw["ray"]
-        try:
+        with _section("ray"):
             ray = Ray(
                 origin=domain.base_point,
                 direction=float(r.get("direction", math.pi)),
                 length=float(r.get("length", 0.25)),
             )
-        except ValueError as e:
-            raise ConfigError(f"ray: {e}") from e
-        scales = int(r.get("scales", 20))
-    tols = raw.get("tolerances", {})
-    quad_tol = float(tols.get("quad_tol", 1e-10))
-    limit_tol = float(tols.get("limit_tol", 1e-3))
+            scales = int(r.get("scales", 20))
+    with _section("tolerances"):
+        tols = raw.get("tolerances", {})
+        quad_tol = float(tols.get("quad_tol", 1e-10))
+        limit_tol = float(tols.get("limit_tol", 1e-3))
     if tol_override is not None:
         quad_tol = tol_override
-    cont = raw.get("contour", {})
-    lemma = raw.get("lemma", {})
-    gallery = _parse_gallery(raw.get("gallery"), domain)
-    seed = int(raw.get("seed", 0))
+    with _section("gallery"):
+        gallery = _parse_gallery(raw.get("gallery"), domain)
+    with _section("n_max"):
+        n_max = int(raw.get("n_max", 40))
+    # the criterion weighs annulus n by 4.0**n, which overflows from n = 512
+    # on, and a family's closed-form tail starts at n_max + 1
+    if n_max > 510:
+        raise ConfigError(f"n_max must be at most 510, got {n_max}")
+    with _section("contour"):
+        cont = raw.get("contour", {})
+        contour_M = int(cont.get("M", 1))
+        contour_N = int(cont["N"]) if "N" in cont else None
+        x_scale_index = int(cont.get("x_scale_index", 2))
+    with _section("lemma"):
+        lemma_radii = [float(x) for x in raw.get("lemma", {}).get("radii", [0.4, 0.2, 0.1])]
+    with _section("seed"):
+        seed = int(raw.get("seed", 0))
     if seed_override is not None:
         seed = seed_override
     return RunConfig(
@@ -215,11 +234,11 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
         quad_tol=quad_tol,
         limit_tol=limit_tol,
         scales=scales,
-        n_max=int(raw.get("n_max", 40)),
-        contour_M=int(cont.get("M", 1)),
-        contour_N=int(cont["N"]) if "N" in cont else None,
-        x_scale_index=int(cont.get("x_scale_index", 2)),
-        lemma_radii=[float(x) for x in lemma.get("radii", [0.4, 0.2, 0.1])],
+        n_max=n_max,
+        contour_M=contour_M,
+        contour_N=contour_N,
+        x_scale_index=x_scale_index,
+        lemma_radii=lemma_radii,
         seed=seed,
         raw=raw,
     )
@@ -306,7 +325,9 @@ class RunContext:
         svg = "-svg" if self.svg else ""
         return self.out / ".cache" / f"{self.hash}-{self.command}{svg}"
 
-    def emit(self, files: dict[str, str], stdout_lines: list[str]) -> None:
+    def emit(self, files: dict[str, str], stdout_lines: list[str], stats: dict | None = None) -> None:
+        """Write `files`, the manifest (with the run's `stats`, if any) and
+        the stdout lines."""
         for name, data in files.items():
             _atomic_write(self.out / name, data)
         manifest = {
@@ -316,6 +337,7 @@ class RunContext:
             "command": self.command,
             "seed": self.cfg.seed,
             "files": sorted(files),
+            **(stats or {}),
         }
         _atomic_write(
             self.out / f"{self.command}-manifest.json",
@@ -418,7 +440,8 @@ def cmd_decompose(ctx: RunContext) -> int:
     rows.append(["circle", cfg.contour_M, rep.inner_circle_term.real, rep.inner_circle_term.imag])
     rows.append(["residual", "", rep.residual, 0.0])
     files = {"decompose.csv": _csv(rows, ["kind", "n", "value_re", "value_im"])}
-    ctx.emit(files, [f"residual {rep.residual!r}"])
+    stats = {"evaluations": rep.evaluations, "err_to_tol": rep.err_to_tol}
+    ctx.emit(files, [f"residual {rep.residual!r}"], stats)
     return 0
 
 

@@ -30,10 +30,6 @@ class ContourError(ValueError):
     pass
 
 
-class PoleTooCloseError(ContourError):
-    pass
-
-
 class ToleranceError(ContourError):
     """Quadrature failed to reach the requested tolerance."""
 
@@ -184,10 +180,6 @@ class ContourPath:
             check_simple=False,
         )
 
-    def sample_points(self, per_primitive: int = 64) -> np.ndarray:
-        ts = np.linspace(0.0, 1.0, per_primitive)
-        return np.concatenate([p.point(ts) for p in self.segments])
-
 
 # ---------------------------------------------------------------------------
 # Adaptive quadrature
@@ -208,44 +200,60 @@ class QuadratureResult:
     evaluations: int
 
 
-def _panel_sums(prims, idx, lo, hi, integrand) -> np.ndarray:
-    """15-point Gauss-Legendre sums over [lo, hi] on `prims[idx]`, from one
-    `integrand` call.
+def _primitive_table(prims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients that evaluate many primitives in one numpy expression.
 
-    `lo` and `hi` hold one row of panels per entry of the sorted `idx`.  Each
-    sum is reduced along the node axis on its own, so a panel's sum does not
-    depend on which other panels share the call.
+    With e = exp(1j (a0 + da t)), an arc is centre + radius e with velocity
+    vcoef e, and a segment is z0 + dz t with velocity dz.  Each coefficient
+    is the number `Arc` or `Segment` computes with, so every point and
+    velocity is bitwise theirs.  Returns (is_arc, [a0, da, radius] rows,
+    [centre, vcoef, z0, dz] rows).
     """
+    is_arc = np.array([isinstance(p, Arc) for p in prims])
+    real = np.zeros((len(prims), 3))
+    cplx = np.zeros((len(prims), 4), complex)
+    for i, p in enumerate(prims):
+        if is_arc[i]:
+            real[i] = p.a0, p.a1 - p.a0, p.radius
+            cplx[i, :2] = p.center, 1j * (p.a1 - p.a0) * p.radius
+        else:
+            cplx[i, 2:] = p.z0, p.z1 - p.z0
+    return is_arc, real, cplx
+
+
+def _panel_sums(table, idx, lo, hi, integrand) -> np.ndarray:
+    """15-point Gauss-Legendre sums over [lo, hi] on the primitives `idx` of
+    a `_primitive_table`, from one `integrand` call.
+
+    `lo` and `hi` hold one row of panels per entry of `idx`.  Each sum is
+    reduced along the node axis on its own, so a panel's sum does not depend
+    on which other panels share the call.
+    """
+    is_arc, real, cplx = table
+    arc = is_arc[idx, None, None]
+    a0, da, radius = real[idx].T[..., None, None]
+    centre, vcoef, z0, dz = cplx[idx].T[..., None, None]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     t = mid[..., None] + half[..., None] * _GL_NODES
-    cut = np.searchsorted(idx, np.arange(len(prims) + 1)).tolist()
-    parts = [(p, t[i:j]) for p, i, j in zip(prims, cut, cut[1:]) if i < j]
-    z = np.concatenate([p.point(s) for p, s in parts])
-    vel = np.concatenate([p.velocity(s) for p, s in parts])
+    e = np.exp(1j * (a0 + da * t))
+    z = np.where(arc, centre + radius * e, z0 + dz * t)
+    vel = np.where(arc, vcoef * e, dz)
     vals = np.asarray(integrand(z.ravel())) * vel.ravel()
     return half * np.sum(vals.reshape(t.shape) * _GL_WEIGHTS, axis=-1)
 
 
-def integrate_contour(
-    path: ContourPath,
-    integrand,
-    tol: float = 1e-10,
-    poles=(),
-    pole_clearance: float | None = None,
-) -> QuadratureResult:
+def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> QuadratureResult:
     """Adaptive contour integral of `integrand` along the path.
 
-    `integrand` must accept a complex numpy array.  If `poles` is given, the
-    sampled path must stay at least `pole_clearance` away from each of them.
-
-    Each primitive, parametrised over [0, 1], gets the share of `tol` given
-    by its length.  A panel compares the 15-point Gauss-Legendre sum over
-    itself (coarse) with the sum over its two halves (fine).  It accepts fine
-    when |fine - coarse| <= its tolerance or <= 1e-16 (1 + |fine|); otherwise
-    it splits into its halves, each with half its tolerance, and the coarse
-    sum of a half is the parent's sum over it.  A panel at depth 48 that
-    still fails raises `ToleranceError`, the first such panel in path order.
+    `integrand` must accept a complex numpy array.  Each primitive,
+    parametrised over [0, 1], gets the share of `tol` given by its length.
+    A panel compares the 15-point Gauss-Legendre sum over itself (coarse)
+    with the sum over its two halves (fine).  It accepts fine when
+    |fine - coarse| <= its tolerance or <= 1e-16 (1 + |fine|); otherwise it
+    splits into its halves, each with half its tolerance, and the coarse sum
+    of a half is the parent's sum over it.  A panel at depth 48 that still
+    fails raises `ToleranceError`, the first such panel in path order.
     Refinement is level synchronous: the active panels of all primitives,
     up to `_BATCH` of them, are evaluated in one `integrand` call per level.
     Accepted values and error estimates are added bottom-up, left half plus
@@ -253,47 +261,63 @@ def integrate_contour(
     equals that of the depth-first recursion bit for bit.  `evaluations`
     counts integrand points.
     """
+    return _integrate_many([path], integrand, tol)[0]
+
+
+def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
+    """`integrate_contour(path, integrand, tol)` for each path, in one loop.
+
+    Each refinement level sends the active panels of every path to
+    `integrand` in one call.  A path keeps its own tolerance shares,
+    tree-order sums, `_BATCH` cap (its leftmost panels first) and first
+    failure, and every panel sum is reduced on its own, so each result is
+    bitwise the one of a call for its path alone.  If several paths fail,
+    the `ToleranceError` is that of the first of them in `paths`, as in a
+    loop of single calls.
+    """
     if tol <= 0:
         raise ContourError("tolerance must be positive")
-    if poles:
-        pts = path.sample_points(128)
-        clearance = pole_clearance
-        if clearance is None:
-            clearance = 1e-3 * path.total_length
-        for p in poles:
-            if np.abs(pts - p).min() < clearance:
-                raise PoleTooCloseError(
-                    f"pole {p} is within {clearance} of the integration path"
-                )
-    prims = path.segments
+    prims, path_of, tols = [], [], []
+    for k, path in enumerate(paths):
+        segs = path.segments
+        total_len = path.total_length
+        prims += segs
+        path_of += [k] * len(segs)
+        tols += [tol * (p.length / total_len if total_len > 0 else 1.0 / len(segs)) for p in segs]
     n = len(prims)
-    total_len = path.total_length
-    tols = np.array([tol * (p.length / total_len if total_len > 0 else 1.0 / n) for p in prims])
+    path_of, tols = np.array(path_of), np.array(tols)
     idx, lo, hi, ids, depth = np.arange(n), np.zeros(n), np.ones(n), np.arange(n), np.zeros(n, int)
     mid = 0.5 * (lo + hi)
+    table = _primitive_table(prims)
     coarse, left, right = _panel_sums(
-        prims, idx, np.stack([lo, lo, mid], -1), np.stack([hi, mid, hi], -1), integrand
+        table, idx, np.stack([lo, lo, mid], -1), np.stack([hi, mid, hi], -1), integrand
     ).T
-    evaluations = 3 * n * len(_GL_NODES)
+    evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
     # panels awaiting refinement, in path order: idx, lo, hi, tols, coarse, ids, depth
     rest = [a[:0] for a in (idx, lo, hi, tols, coarse, ids, depth)]
     records = []
-    failure = None
+    failures = {}  # path -> its leftmost failing panel so far
     next_id = n
     while True:
         fine = left + right
         diff = fine - coarse
         err = np.hypot(diff.real, diff.imag)
         done = (err <= tols) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag)))
+        split = ~done
         failed = np.flatnonzero(~done & (depth >= _MAX_DEPTH))
-        keep = len(done)
         if failed.size:
-            # a depth-first search raises here before it reaches any panel
-            # further right, so those panels are dropped
-            keep = failed[0]
-            failure = (lo[keep], hi[keep], tols[keep], fine[keep], err[keep])
-            rest = [a[:0] for a in rest]
-        split = np.flatnonzero(~done[:keep])
+            # a depth-first search of a path raises at its first failing panel
+            # before it reaches any panel further right, so those are dropped
+            pid = path_of[idx]
+            first = {}
+            for i in failed.tolist():
+                first.setdefault(int(pid[i]), i)
+            for k, i in first.items():
+                failures[k] = (lo[i], hi[i], tols[i], fine[i], err[i])
+                split[i:] &= pid[i:] != k
+            alive = ~np.isin(path_of[rest[0]], list(first))
+            rest = [a[alive] for a in rest]
+        split = np.flatnonzero(split)
         child = np.full(len(done), -1)
         child[split] = next_id + 2 * np.arange(len(split))
         records.append((ids, fine, err, depth, child))
@@ -310,15 +334,21 @@ def integrate_contour(
         queue = [np.concatenate([c, r]) for c, r in zip(children, rest)]
         if not len(queue[0]):
             break
-        idx, lo, hi, tols, coarse, ids, depth = (a[:_BATCH] for a in queue)
-        rest = [a[_BATCH:] for a in queue]
+        if len(rest[0]):
+            # each primitive's children go before its waiting panels
+            order = np.argsort(queue[0], kind="stable")
+            queue = [a[order] for a in queue]
+        pid = path_of[queue[0]]
+        take = np.arange(len(pid)) - np.searchsorted(pid, pid) < _BATCH
+        idx, lo, hi, tols, coarse, ids, depth = (a[take] for a in queue)
+        rest = [a[~take] for a in queue]
         mid = 0.5 * (lo + hi)
         left, right = _panel_sums(
-            prims, idx, np.stack([lo, mid], -1), np.stack([mid, hi], -1), integrand
+            table, idx, np.stack([lo, mid], -1), np.stack([mid, hi], -1), integrand
         ).T
-        evaluations += 2 * len(idx) * len(_GL_NODES)
-    if failure is not None:
-        a, b, t, best, err = failure
+        evaluations += 2 * len(_GL_NODES) * np.bincount(path_of[idx], minlength=len(paths))
+    if failures:
+        a, b, t, best, err = failures[min(failures)]
         raise ToleranceError(
             f"adaptive quadrature stalled on [{float(a)}, {float(b)}] "
             f"(err {err:.3g} > tol {t:.3g})",
@@ -334,11 +364,14 @@ def integrate_contour(
         kid = child[node]
         value[node] = value[kid] + value[kid + 1]
         error[node] = error[kid] + error[kid + 1]
-    total, total_err = 0j, 0.0
-    for v, e in zip(value[:n].tolist(), error[:n].tolist()):
-        total += v
-        total_err += e
-    return QuadratureResult(value=total, error_estimate=total_err, evaluations=evaluations)
+    totals, total_errs = [0j] * len(paths), [0.0] * len(paths)
+    for k, v, e in zip(path_of.tolist(), value[:n].tolist(), error[:n].tolist()):
+        totals[k] += v
+        total_errs[k] += e
+    return [
+        QuadratureResult(value=v, error_estimate=e, evaluations=c)
+        for v, e, c in zip(totals, total_errs, evaluations.tolist())
+    ]
 
 
 def winding_number(path: ContourPath, z0: complex, tol: float = 1e-8) -> float:
@@ -478,6 +511,8 @@ class DecompositionReport:
     annular_terms: tuple[tuple[int, complex], ...]
     inner_circle_term: complex
     residual: float
+    evaluations: int  # integrand points over all its integrals
+    err_to_tol: float  # worst error estimate of an integral over its tolerance
 
 
 def annular_decomposition(
@@ -492,7 +527,9 @@ def annular_decomposition(
 
     f(x)/x = sum over n of the D_n boundary term plus the full-circle term at
     radius 2^-M.  The D_n boundaries are traversed clockwise here, matching
-    the orientation that makes the terms add up to the quotient.
+    the orientation that makes the terms add up to the quotient.  All the
+    integrals, each at tolerance tol / (number of terms), run in one
+    adaptive loop.
     """
     v = cone.vertex
     if complex(f.base_point) != complex(v):
@@ -511,14 +548,10 @@ def annular_decomposition(
 
     annuli = [] if N == M else list(range(M, N + 1))
     term_tol = tol / (len(annuli) + 1)
-    terms = []
-    for n in annuli:
-        path = _clockwise_annular_piece(n, cone)
-        res = integrate_contour(path, integrand, tol=term_tol)
-        terms.append((n, res.value / (2j * math.pi)))
-    circle = full_circle(v, 2.0**-M)
-    res = integrate_contour(circle, integrand, tol=term_tol)
-    circle_term = res.value / (2j * math.pi)
+    paths = [_clockwise_annular_piece(n, cone) for n in annuli] + [full_circle(v, 2.0**-M)]
+    results = _integrate_many(paths, integrand, term_tol)
+    terms = [(n, res.value / (2j * math.pi)) for n, res in zip(annuli, results)]
+    circle_term = results[-1].value / (2j * math.pi)
     lhs = f(x) / (x - v)
     total = sum(t for _, t in terms) + circle_term
     return DecompositionReport(
@@ -526,6 +559,8 @@ def annular_decomposition(
         annular_terms=tuple(terms),
         inner_circle_term=circle_term,
         residual=abs(lhs - total),
+        evaluations=sum(res.evaluations for res in results),
+        err_to_tol=max(res.error_estimate for res in results) / term_tol,
     )
 
 

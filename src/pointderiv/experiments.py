@@ -59,7 +59,8 @@ def _limit_report(
     xs = np.array([abs(x) for x, _, _ in rows])
     order = _fit_order(xs[-5:], devs[-5:]) if len(rows) >= 5 else math.nan
     tol_abs = limit_tol * (abs(df) if abs(df) > 0 else 1.0)
-    if not assert_verdict:
+    if not assert_verdict or len(rows) < 5:
+        # a verdict reads the last 5 samples
         verdict = INCONCLUSIVE
     else:
         tail = devs[-5:]

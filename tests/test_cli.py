@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pointderiv import annulus_complement
+from pointderiv import annulus_complement, contour
 from pointderiv.cli import config_hash, load_config, main
 
 BASE_CONFIG = {
@@ -140,6 +140,55 @@ def test_n_max_zero_exit_2(tmp_path, capsys):
     assert run("criterion", p, tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"gallery": [{"rational": [{"weight": 1.0}]}]}, "gallery[0]: missing key 'pole'"),
+        ({"domain": {"holes": [{"center": 0.5}]}}, "domain.holes[0]: missing key 'radius'"),
+        ({"cone": 3}, "cone:"),
+        ({"n_max": 600}, "n_max must be at most 510"),
+        ({"n_max": 511}, "n_max must be at most 510"),
+    ],
+)
+def test_malformed_config_exit_2(tmp_path, capsys, overrides, where):
+    p = write_config(tmp_path, overrides)
+    assert run("criterion", p, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and where in err and "Traceback" not in err
+
+
+def test_n_max_510_runs(tmp_path):
+    # the family tail after n_max = 510 starts with 4.0**511, still a float
+    assert run("criterion", write_config(tmp_path, {"n_max": 510}), tmp_path / "o") == 0
+
+
+def test_limit_too_few_scales_inconclusive(tmp_path, capsys):
+    p = write_config(tmp_path, {"ray": dict(BASE_CONFIG["ray"], scales=3)})
+    assert run("limit", p, tmp_path / "o") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all("verdict INCONCLUSIVE" in line for line in lines)
+
+
+def test_decompose_manifest_counts_evaluations(tmp_path):
+    # the manifest's count equals that of 11 separate integrals
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert run("decompose", p, out) == 0
+    manifest = json.loads((out / "decompose-manifest.json").read_text())
+    cfg = load_config(p)
+    f, cone, v = cfg.gallery[0], cfg.cone, cfg.cone.vertex
+    x = cfg.ray.point(0.75 * cfg.ray.length * 2.0**-cfg.x_scale_index)
+    paths = [contour._clockwise_annular_piece(n, cone) for n in range(1, 11)]
+    paths.append(contour.full_circle(v, 0.5))
+    results = [
+        contour.integrate_contour(path, lambda z: f(z) / ((z - v) * (z - x)), tol=1e-10 / 11)
+        for path in paths
+    ]
+    assert manifest["evaluations"] == sum(r.evaluations for r in results)
+    assert manifest["err_to_tol"] == max(r.error_estimate for r in results) / (1e-10 / 11)
+    assert 0.0 < manifest["err_to_tol"] <= 1.0
 
 
 def test_lemma_check_command(tmp_path, capsys):

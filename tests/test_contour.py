@@ -12,7 +12,6 @@ from pointderiv import (
     Disk,
     DiskRegion,
     GalleryFunction,
-    PoleTooCloseError,
     Segment,
     annular_decomposition,
     annulus_radii,
@@ -155,13 +154,6 @@ def test_integrate_entire_function_zero():
     assert abs(res.value) <= 1e-9
 
 
-def test_integrate_pole_clearance():
-    with pytest.raises(PoleTooCloseError):
-        integrate_contour(
-            full_circle(0j, 1.0), lambda z: 1.0 / (z - 1.0), poles=(1.0,)
-        )
-
-
 def test_integrate_tolerance_positive():
     with pytest.raises(ContourError):
         integrate_contour(full_circle(0j, 1.0), lambda z: z, tol=0.0)
@@ -224,6 +216,134 @@ def test_quadrature_pole_on_path_raises_like_reference():
     assert got.value.best is not None and got.value.error_estimate is not None
     assert _bits(got.value.best) == _bits(want.value.best)
     assert got.value.error_estimate == want.value.error_estimate
+
+
+# ---------------------------------------------------------------------------
+# Several paths in one level loop
+
+
+def _decomposition_paths(M=1, N=10):
+    """The D_M..D_N boundaries and the circle of `annular_decomposition`."""
+    paths = [contour._clockwise_annular_piece(n, CONE) for n in range(M, N + 1)]
+    return paths + [full_circle(0j, 2.0**-M)]
+
+
+def _result_bits(res):
+    return _bits(res.value), res.error_estimate.hex(), res.evaluations
+
+
+def _error_bits(err):
+    return str(err), _bits(err.best), err.error_estimate.hex()
+
+
+@pytest.mark.parametrize("batch", [contour._BATCH, 2])
+@pytest.mark.parametrize("index", [1, 8, 15])  # a polynomial, a pole, a Cauchy transform
+def test_integrate_many_matches_single_paths(index, batch, gallery, monkeypatch):
+    # at batch 2 every path outgrows the cap beside the others
+    monkeypatch.setattr(contour, "_BATCH", batch)
+    f, x = gallery[index], -0.1
+    paths = _decomposition_paths()
+
+    def integrand(z):
+        return f(z) / (z * (z - x))
+
+    many = contour._integrate_many(paths, integrand, 1e-10 / 11)
+    single = [integrate_contour(path, integrand, tol=1e-10 / 11) for path in paths]
+    assert [_result_bits(r) for r in many] == [_result_bits(r) for r in single]
+
+
+def _decomposition_reference(f, x, M=1, N=10, tol=1e-10):
+    """`annular_decomposition` from one `integrate_contour` call per term."""
+    def integrand(z):
+        return f(z) / (z * (z - x))
+
+    term_tol = tol / (N - M + 2)
+    values = [
+        integrate_contour(path, integrand, tol=term_tol).value / (2j * math.pi)
+        for path in _decomposition_paths(M, N)
+    ]
+    lhs = f(x) / x
+    terms = list(zip(range(M, N + 1), values))
+    circle = values[-1]
+    return lhs, terms, circle, abs(lhs - (sum(values[:-1]) + circle))
+
+
+def test_decomposition_grid_matches_single_path_reference(domain):
+    for f in build_test_gallery(domain, 27):
+        for x in (complex(v) for v in -np.geomspace(0.35, 0.005, 10)):
+            rep = annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-10)
+            lhs, terms, circle, residual = _decomposition_reference(f, x)
+            assert _bits(rep.lhs) == _bits(lhs) and _bits(rep.inner_circle_term) == _bits(circle)
+            assert [(n, _bits(t)) for n, t in rep.annular_terms] == [
+                (n, _bits(t)) for n, t in terms
+            ]
+            assert rep.residual.hex() == residual.hex()
+
+
+def _two_poles(z):
+    return 1.0 / (z - 1.0) + 2.0 / (z - 3.0)
+
+
+# each circle starts its first arc on one of the poles
+FAILING = {"one": full_circle(0j, 1.0), "three": full_circle(2.5, 0.5)}
+
+
+def _solo_error(path):
+    with pytest.raises(ToleranceError) as err:
+        integrate_contour(path, _two_poles, tol=1e-10)
+    return _error_bits(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_integrate_many_failure_is_that_of_the_path_alone(name):
+    ok = full_circle(0j, 0.5)
+    solo = _solo_error(FAILING[name])
+    # the failing path outgrows the cap while the others converge at once
+    for paths in ([FAILING[name]], [ok, FAILING[name], ok, ok], [ok, ok, FAILING[name]]):
+        with pytest.raises(ToleranceError) as err:
+            contour._integrate_many(paths, _two_poles, 1e-10)
+        assert _error_bits(err.value) == solo
+
+
+def test_integrate_many_raises_first_failing_path():
+    ok = full_circle(0j, 0.5)
+    one, three = FAILING["one"], FAILING["three"]
+    assert _solo_error(one) != _solo_error(three)
+    for first, second in ((one, three), (three, one)):
+        with pytest.raises(ToleranceError) as err:
+            contour._integrate_many([ok, first, ok, second], _two_poles, 1e-10)
+        assert _error_bits(err.value) == _solo_error(first)
+
+
+def test_integrate_many_wide_path_beside_small_ones():
+    # one path needs more than _BATCH panels a level, the others one each
+    def integrand(z):
+        return 1.0 / (z - 0.999)
+
+    wide, small = full_circle(0j, 1.0), full_circle(0j, 0.5)
+    many = contour._integrate_many([small, wide, small], integrand, 1e-13)
+    solo = integrate_contour(wide, integrand, tol=1e-13)
+    assert _result_bits(many[1]) == _result_bits(solo)
+    assert _result_bits(many[0]) == _result_bits(integrate_contour(small, integrand, tol=1e-13))
+    assert solo.evaluations > 2 * len(_GL_NODES) * contour._BATCH
+
+
+def test_integrate_many_caps_each_path_on_its_own():
+    # two copies of a wide path take the level steps of one, at twice the size
+    def sizes(paths):
+        calls = []
+
+        def integrand(z):
+            calls.append(len(z))
+            return 1.0 / (z - 0.999)
+
+        contour._integrate_many(paths, integrand, 1e-13)
+        return calls
+
+    wide = full_circle(0j, 1.0)
+    solo = sizes([wide])
+    assert max(solo) == 2 * len(_GL_NODES) * contour._BATCH
+    assert sizes([wide, wide]) == [2 * n for n in solo]
 
 
 def test_builders_memoised_and_checked_once(monkeypatch):
@@ -352,8 +472,8 @@ def test_decomposition_term_decay(domain):
 def test_cone_kernel_inequality():
     # |x| / |z - x| <= 1/k for z outside the cone, x on the axis inside it
     for n in (3, 5, 7):
-        path = build_annular_piece(n, CONE)
-        z = path.sample_points(64)
+        ts = np.linspace(0.0, 1.0, 64)
+        z = np.concatenate([p.point(ts) for p in build_annular_piece(n, CONE).segments])
         ri, _ = annulus_radii(n)
         x = -1.5 * ri  # on the cone axis, inside annulus n
         assert np.max(abs(x) / np.abs(z - x)) <= 1.0 / CONE.k + 1e-9

@@ -12,7 +12,7 @@ from pointderiv import (
     nontangential_limit,
     tangential_probe,
 )
-from pointderiv.experiments import INCONCLUSIVE
+from pointderiv.experiments import INCONCLUSIVE, NOT_CONVERGED
 from pointderiv.geometry import GeometryError
 
 
@@ -33,6 +33,16 @@ def test_limit_identity_exact(domain, ray):
     assert rep.verdict == CONVERGED
     assert all(dev <= 1e-14 for _, _, dev in rep.samples)
     assert rep.convergence_order == math.inf  # clamped: numerically exact
+
+
+def test_limit_too_few_samples_inconclusive(domain, ray):
+    # the verdict reads the last 5 samples; scales 3 gives only 4
+    f = GalleryFunction(poly_coeffs=(0, 0, 1))
+    rep = nontangential_limit(f, domain, ray, scales=3)
+    assert len(rep.samples) == 4
+    assert rep.verdict == INCONCLUSIVE and math.isnan(rep.convergence_order)
+    # from 5 samples on there is a verdict again
+    assert nontangential_limit(f, domain, ray, scales=4).verdict == NOT_CONVERGED
 
 
 def test_limit_ct_term(domain, ray):
