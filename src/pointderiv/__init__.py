@@ -19,9 +19,6 @@ from .geometry import (
 from .content import (
     ContentEstimate,
     ContentError,
-    Cover,
-    MeasureFunction,
-    cover_content,
     disjoint_disk_content,
     greedy_cover_upper,
 )
@@ -62,7 +59,6 @@ from .contour import (
     kernel_seminorm_ratio,
     lemma_cauchy_bound_check,
     quotient_via_cauchy,
-    winding_number,
 )
 from .experiments import (
     CONVERGED,

@@ -30,7 +30,7 @@ from .contour import (
     lemma_cauchy_bound_check,
 )
 from .criterion import CriterionError, RoadrunnerFamily, lord_ofarrell_series
-from .experiments import functional_sweep, nontangential_limit
+from .experiments import _nontangential_limits, functional_sweep
 from .geometry import (
     ConeSpec,
     Disk,
@@ -40,7 +40,6 @@ from .geometry import (
     SwissCheeseDomain,
     annulus_complement,
     validate_cone,
-    verify_interior_cone,
 )
 from .content import ContentError, disjoint_disk_content, greedy_cover_upper
 from .lipschitz import GalleryError, GalleryFunction, build_test_gallery, conjugate_function
@@ -325,11 +324,14 @@ class RunContext:
         svg = "-svg" if self.svg else ""
         return self.out / ".cache" / f"{self.hash}-{self.command}{svg}"
 
+    @property
+    def manifest_name(self) -> str:
+        return f"{self.command}-manifest.json"
+
     def emit(self, files: dict[str, str], stdout_lines: list[str], stats: dict | None = None) -> None:
         """Write `files`, the manifest (with the run's `stats`, if any) and
-        the stdout lines."""
-        for name, data in files.items():
-            _atomic_write(self.out / name, data)
+        the stdout lines; with the cache on, also the files and manifest
+        into the cache directory."""
         manifest = {
             "config_hash": self.hash,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -339,18 +341,19 @@ class RunContext:
             "files": sorted(files),
             **(stats or {}),
         }
-        _atomic_write(
-            self.out / f"{self.command}-manifest.json",
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
-        if self.use_cache:
-            for name, data in files.items():
+        manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        # the manifest goes last: a cache directory without one is a miss
+        for name, data in [*files.items(), (self.manifest_name, manifest_text)]:
+            _atomic_write(self.out / name, data)
+            if self.use_cache:
                 _atomic_write(self.cache_dir / name, data)
         for line in stdout_lines:
             print(line)
 
     def try_cache(self) -> bool:
-        if not self.use_cache or not self.cache_dir.is_dir():
+        """Copy the cached files and manifest of this run into `out`, if
+        there are any."""
+        if not self.use_cache or not (self.cache_dir / self.manifest_name).is_file():
             return False
         for p in sorted(self.cache_dir.iterdir()):
             shutil.copyfile(p, self.out / p.name)
@@ -379,12 +382,13 @@ def cmd_limit(ctx: RunContext) -> int:
     cfg = ctx.cfg
     if cfg.ray is None:
         raise ConfigError("limit requires a ray section")
-    verify_interior_cone(cfg.domain, cfg.ray)
+    reports = _nontangential_limits(
+        cfg.gallery, cfg.domain, cfg.ray, cfg.scales, cfg.limit_tol
+    )
     rows = []
     lines = []
     svg_points = []
-    for i, f in enumerate(cfg.gallery):
-        rep = nontangential_limit(f, cfg.domain, cfg.ray, cfg.scales, cfg.limit_tol)
+    for i, (f, rep) in enumerate(zip(cfg.gallery, reports)):
         for j, (x, q, dev) in enumerate(rep.samples):
             rows.append([i, j, x.real, x.imag, q.real, q.imag, dev])
             if i == 0:
@@ -450,6 +454,7 @@ def cmd_lemma_check(ctx: RunContext) -> int:
     f = conjugate_function()
     rows = []
     lines = []
+    reports = []
     for r in cfg.lemma_radii:
         rep = lemma_cauchy_bound_check(
             f,
@@ -459,6 +464,7 @@ def cmd_lemma_check(ctx: RunContext) -> int:
             tol=cfg.quad_tol,
             seed=cfg.seed,
         )
+        reports.append(rep)
         rows.append(
             [r, rep.integral_magnitude, rep.content_upper, rep.seminorm_estimate, rep.kappa_hat]
         )
@@ -468,7 +474,11 @@ def cmd_lemma_check(ctx: RunContext) -> int:
             rows, ["radius", "integral_magnitude", "content_upper", "seminorm", "kappa_hat"]
         )
     }
-    ctx.emit(files, lines)
+    stats = {
+        "evaluations": sum(rep.evaluations for rep in reports),
+        "err_to_tol": max((rep.err_to_tol for rep in reports), default=0.0),
+    }
+    ctx.emit(files, lines, stats)
     return 0
 
 

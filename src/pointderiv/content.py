@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ClippedPiece, Disk
+from .geometry import ClippedPiece
 
 SQRT2 = math.sqrt(2.0)
 
@@ -26,67 +26,10 @@ class ContentError(ValueError):
 
 
 @dataclass(frozen=True)
-class MeasureFunction:
-    """h(t) = t^(1+alpha) * min(1, (t/t0)^epsilon).
-
-    Monotone nondecreasing, h(t) <= t^(1+alpha); for epsilon > 0 the ratio
-    t^(-1-alpha) h(t) tends to 0 with t.
-    """
-
-    alpha: float
-    epsilon: float = 0.0
-    crossover: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ContentError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.epsilon < 0.0:
-            raise ContentError("epsilon must be nonnegative")
-        if self.crossover <= 0.0:
-            raise ContentError("crossover must be positive")
-
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        v = t ** (1.0 + self.alpha)
-        if self.epsilon > 0.0 and t < self.crossover:
-            v *= (t / self.crossover) ** self.epsilon
-        return v
-
-
-@dataclass(frozen=True)
 class ContentEstimate:
     upper: float
     lower_heuristic: float
     method: str  # closed_form | greedy_cover | disjoint_sum
-
-
-@dataclass(frozen=True)
-class Cover:
-    balls: tuple[Disk, ...]
-    target: object | None = None  # anything with sample_points(count, rng)
-
-
-def cover_content(
-    cover: Cover,
-    h: MeasureFunction,
-    check_samples: int = 512,
-    seed: int = 0,
-) -> float:
-    """Sum of h(diam B) over the cover; an upper bound for M_h of the target."""
-    if cover.target is not None and cover.balls:
-        rng = np.random.default_rng(seed)
-        pts = cover.target.sample_points(check_samples, rng)
-        centers = np.array([b.center for b in cover.balls])
-        radii = np.array([b.radius for b in cover.balls])
-        d = np.abs(pts[:, None] - centers[None, :])
-        covered = (d <= radii[None, :] + 1e-12).any(axis=1)
-        if not covered.all():
-            bad = pts[~covered][0]
-            raise ContentError(f"cover misses target point {complex(bad)}")
-    elif cover.target is not None and not cover.balls:
-        raise ContentError("empty cover cannot contain a nonempty target")
-    return float(sum(h(b.diameter) for b in cover.balls))
 
 
 def _pieces_disjoint(pieces: list[ClippedPiece]) -> bool:

@@ -374,11 +374,6 @@ def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
     ]
 
 
-def winding_number(path: ContourPath, z0: complex, tol: float = 1e-8) -> float:
-    res = integrate_contour(path, lambda z: 1.0 / (z - z0), tol=tol)
-    return (res.value / (2j * math.pi)).real
-
-
 # ---------------------------------------------------------------------------
 # Contour builders
 #
@@ -574,6 +569,8 @@ class LemmaCheckReport:
     content_upper: float
     seminorm_estimate: float
     kappa_hat: float
+    evaluations: int  # integrand points of the contour integral
+    err_to_tol: float  # its error estimate over the tolerance
 
 
 def _region_content_upper(region, alpha: float) -> float:
@@ -619,6 +616,8 @@ def lemma_cauchy_bound_check(
         content_upper=content,
         seminorm_estimate=sem,
         kappa_hat=kappa,
+        evaluations=res.evaluations,
+        err_to_tol=res.error_estimate / tol,
     )
 
 

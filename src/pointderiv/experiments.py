@@ -16,7 +16,7 @@ from .geometry import (
     SwissCheeseDomain,
     verify_interior_cone,
 )
-from .lipschitz import GalleryFunction, seminorm_estimate
+from .lipschitz import GalleryFunction, _max_ratio, _seminorm_pairs
 
 CONVERGED = "CONVERGED"
 NOT_CONVERGED = "NOT_CONVERGED"
@@ -83,6 +83,37 @@ def _limit_report(
     )
 
 
+def _ray_points(ray: Ray, scales: int) -> list[complex]:
+    """The dyadic ray samples at distances length * 2^-j, j = 0..scales."""
+    return [ray.point(ray.length * 2.0**-j) for j in range(scales + 1)]
+
+
+def _nontangential_limits(
+    gallery: list[GalleryFunction],
+    domain: SwissCheeseDomain,
+    ray: Ray,
+    scales: int = 20,
+    limit_tol: float = LIMIT_TOL_DEFAULT,
+) -> list[LimitExperimentReport]:
+    """`nontangential_limit` of each gallery function; the ray is checked
+    and sampled once, and each f is evaluated on all samples in one call."""
+    x0 = domain.base_point
+    if ray.origin != x0:
+        raise GeometryError("ray must start at the domain base point")
+    verify_interior_cone(domain, ray)  # rejects rays crossing a hole
+    xs = _ray_points(ray, scales)
+    for x in xs:
+        if not domain.contains(x):
+            raise GeometryError(f"ray sample {x} lies outside the domain")
+    reports = []
+    for f in gallery:
+        df = f.derivative(x0)
+        fx0 = f(x0)
+        samples = [(x, (v - fx0) / (x - x0)) for x, v in zip(xs, f(np.array(xs)).tolist())]
+        reports.append(_limit_report(samples, df, limit_tol))
+    return reports
+
+
 def nontangential_limit(
     f: GalleryFunction,
     domain: SwissCheeseDomain,
@@ -91,19 +122,7 @@ def nontangential_limit(
     limit_tol: float = LIMIT_TOL_DEFAULT,
 ) -> LimitExperimentReport:
     """Difference quotients along dyadic points of a non-tangential ray."""
-    x0 = domain.base_point
-    if ray.origin != x0:
-        raise GeometryError("ray must start at the domain base point")
-    verify_interior_cone(domain, ray)  # rejects rays crossing a hole
-    df = f.derivative(x0)
-    samples = []
-    for j in range(scales + 1):
-        x = ray.point(ray.length * 2.0**-j)
-        if not domain.contains(x):
-            raise GeometryError(f"ray sample {x} lies outside the domain")
-        q = (f(x) - f(x0)) / (x - x0)
-        samples.append((x, q))
-    return _limit_report(samples, df, limit_tol)
+    return _nontangential_limits([f], domain, ray, scales, limit_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -127,23 +146,25 @@ def functional_sweep(
 
     The maximum ratio estimates the uniform bound on the quotient
     functionals; it should stay stable as the sweep deepens on a domain whose
-    series criterion holds.
+    series criterion holds.  Every function is measured on the same seminorm
+    sample pairs, built once.
     """
     x0 = domain.base_point
     region = DiskRegion(domain.outer.center, domain.outer.radius)
+    pairs = _seminorm_pairs(region, alpha, pair_count, seed)
+    xs = _ray_points(ray, scales)
     rows = []
     skipped = []
     for i, f in enumerate(gallery):
         if abs(f(x0)) > 1e-12:
             raise GeometryError(f"gallery function {i} is not normalized at x0")
-        sem = seminorm_estimate(f, region, alpha, pair_count=pair_count, seed=seed).value
+        sem = _max_ratio(f, pairs)
         if sem == 0.0:
             skipped.append(i)
             continue
         df = f.derivative(x0)
-        for j in range(scales + 1):
-            x = ray.point(ray.length * 2.0**-j)
-            lx = abs(f(x) / (x - x0) - df)
+        for x, v in zip(xs, f(np.array(xs)).tolist()):
+            lx = abs(v / (x - x0) - df)
             rows.append((i, x, lx, lx / sem))
     max_ratio = max((r for _, _, _, r in rows), default=0.0)
     return FunctionalSweepReport(

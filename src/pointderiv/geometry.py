@@ -332,21 +332,6 @@ class ClippedPiece:
             return self.hole.diameter
         return _point_set_diameter(self.boundary_samples())
 
-    def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Points of the piece, by rejection from the hole disk."""
-        out: list[np.ndarray] = []
-        have = 0
-        while have < count:
-            m = max(4 * (count - have), 64)
-            r = self.hole.radius * np.sqrt(rng.random(m))
-            phi = 2.0 * math.pi * rng.random(m)
-            z = self.hole.center + r * np.exp(1j * phi)
-            rr = np.abs(z - self.annulus_center)
-            z = z[(rr >= self.r_inner) & (rr <= self.r_outer)]
-            out.append(z[: count - have])
-            have += len(out[-1])
-        return np.concatenate(out)
-
 
 # Rows per block.  With the ~600 boundary samples of a clipped piece, 32 rows
 # keep the float64 temporaries in cache: about twice as fast as 128 rows on a
@@ -362,12 +347,25 @@ def _point_set_diameter(pts: np.ndarray) -> float:
     O(block * len(pts)).  Every `dx*dx + dy*dy` is the same float value a
     hull-only pass computes for that pair, and the farthest pair is always a
     pair of hull vertices, so no hull is needed for the same result.
+
+    Before that pass, points that cannot end a farthest pair are dropped.
+    With r_i the distance of point i from the centroid, R = max r_i and `lo`
+    the largest distance from the point at R, a pair at distance >= lo has
+    r_i + r_j >= lo, so both ends have r + R >= lo.  The relative margin of
+    1e-9 covers rounding, so the farthest pair and its float value survive.
     """
     if len(pts) < 2:
         return 0.0
     x, y = pts.real, pts.imag
+    rx, ry = x - x.mean(), y - y.mean()
+    r = np.sqrt(rx * rx + ry * ry)
+    far = int(r.argmax())
+    fx, fy = x - x[far], y - y[far]
+    lo = math.sqrt(float((fx * fx + fy * fy).max()))
+    keep = r + r[far] >= lo * (1.0 - 1e-9)
+    x, y = x[keep], y[keep]
     best = 0.0
-    for s in range(0, len(pts), _DIAMETER_BLOCK):
+    for s in range(0, len(x), _DIAMETER_BLOCK):
         e = s + _DIAMETER_BLOCK
         dx = x[s:e, None] - x[None, s:]
         dy = y[s:e, None] - y[None, s:]
@@ -411,6 +409,19 @@ class DiskRegion:
     def contains(self, z: complex) -> bool:
         return abs(complex(z) - self.center) <= self.radius
 
+    def contains_many(self, z: np.ndarray) -> np.ndarray:
+        """`contains` of each point of a complex array.
+
+        numpy's complex `abs` can differ from Python's in the last bits, so
+        points within a relative 1e-12 of the radius are decided by the
+        scalar test.
+        """
+        d = np.abs(z - self.center)
+        ok = d <= self.radius
+        for i in np.flatnonzero(np.abs(d - self.radius) <= 1e-12 * self.radius):
+            ok[i] = self.contains(z[i])
+        return ok
+
     def diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -453,6 +464,10 @@ class AnnularSectorRegion:
         if d < 0:
             d += 2.0 * math.pi
         return d <= self.angle_span
+
+    def contains_many(self, z: np.ndarray) -> np.ndarray:
+        """`contains` of each point of a complex array."""
+        return np.array([self.contains(c) for c in z], dtype=bool)
 
     def diameter(self) -> float:
         return _point_set_diameter(self.boundary_points(256))

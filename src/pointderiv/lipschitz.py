@@ -7,7 +7,6 @@ point by construction.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -143,10 +142,6 @@ class SeminormEstimate:
     region: object
 
 
-def _as_callable(f):
-    return f if callable(f) else (lambda z: f(z))
-
-
 def sample_pairs(region, pair_count: int, rng: np.random.Generator):
     """Candidate pairs: extremal boundary pairs, near-diagonal dyadic pairs,
     and independent random pairs.  Returns two complex arrays."""
@@ -164,7 +159,7 @@ def sample_pairs(region, pair_count: int, rng: np.random.Generator):
         sep = diam * 2.0 ** (-k.astype(float))
         phi = 2.0 * math.pi * rng.random(n_diag)
         cand = base + sep * np.exp(1j * phi)
-        ok = np.array([region.contains(complex(c)) for c in cand])
+        ok = region.contains_many(cand)
         zs.append(base[ok])
         ws.append(cand[ok])
     n_rand = max(pair_count - n_diag, 2)
@@ -175,6 +170,24 @@ def sample_pairs(region, pair_count: int, rng: np.random.Generator):
     return np.concatenate(zs), np.concatenate(ws)
 
 
+def _seminorm_pairs(region, alpha: float, pair_count: int, seed: int):
+    """The pairs of a seminorm estimate as (z, w, |z - w|**alpha), without
+    the pairs of equal points.  They depend on the region, not on f."""
+    if pair_count < 100:
+        raise GalleryError("pair_count must be >= 100")
+    z, w = sample_pairs(region, pair_count, np.random.default_rng(seed))
+    d = np.abs(z - w)
+    keep = d > 0
+    return z[keep], w[keep], d[keep] ** alpha
+
+
+def _max_ratio(f, pairs) -> float:
+    """max |f(z) - f(w)| / |z - w|**alpha over the pairs of `_seminorm_pairs`."""
+    z, w, d_alpha = pairs
+    ratio = np.abs(np.asarray(f(z)) - np.asarray(f(w))) / d_alpha
+    return float(ratio.max()) if len(ratio) else 0.0
+
+
 def seminorm_estimate(
     f,
     region,
@@ -183,18 +196,10 @@ def seminorm_estimate(
     seed: int = 0,
 ) -> SeminormEstimate:
     """Sampled lower estimate of sup |f(z)-f(w)| / |z-w|^alpha over the region."""
-    if pair_count < 100:
-        raise GalleryError("pair_count must be >= 100")
-    rng = np.random.default_rng(seed)
-    fn = _as_callable(f)
-    z, w = sample_pairs(region, pair_count, rng)
-    d = np.abs(z - w)
-    keep = d > 0
-    z, w, d = z[keep], w[keep], d[keep]
-    num = np.abs(np.asarray(fn(z)) - np.asarray(fn(w)))
-    ratio = num / d**alpha
-    value = float(ratio.max()) if len(ratio) else 0.0
-    return SeminormEstimate(value=value, pair_count=len(z), region=region)
+    pairs = _seminorm_pairs(region, alpha, pair_count, seed)
+    return SeminormEstimate(
+        value=_max_ratio(f, pairs), pair_count=len(pairs[0]), region=region
+    )
 
 
 def little_lip_modulus(
@@ -213,7 +218,6 @@ def little_lip_modulus(
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise GalleryError("deltas must be strictly decreasing")
     rng = np.random.default_rng(seed)
-    fn = _as_callable(f)
     out = []
     for delta in deltas:
         base = region.sample(pairs_per_delta, rng)
@@ -226,7 +230,7 @@ def little_lip_modulus(
         )
         phi = 2.0 * math.pi * rng.random(pairs_per_delta)
         cand = base + sep * np.exp(1j * phi)
-        ok = np.array([region.contains(complex(c)) for c in cand])
+        ok = region.contains_many(cand)
         z, w = base[ok], cand[ok]
         d = np.abs(z - w)
         keep = d > 0
@@ -234,7 +238,7 @@ def little_lip_modulus(
         if len(z) == 0:
             out.append((float(delta), 0.0))
             continue
-        ratio = np.abs(np.asarray(fn(z)) - np.asarray(fn(w))) / d**alpha
+        ratio = np.abs(np.asarray(f(z)) - np.asarray(f(w))) / d**alpha
         out.append((float(delta), float(ratio.max())))
     return out
 

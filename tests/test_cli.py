@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from pointderiv import annulus_complement, contour
+from pointderiv import annulus_complement, conjugate_function, contour, experiments
 from pointderiv.cli import config_hash, load_config, main
 
 BASE_CONFIG = {
@@ -391,3 +392,96 @@ def test_content_does_not_import_scipy(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "False"
+
+
+# The example config of README.md
+README_CONFIG = {
+    "alpha": 0.5,
+    "seed": 0,
+    "domain": {"roadrunner": {"radius_ratio": 0.25, "truncation": 9}},
+    "cone": {"direction": math.pi, "half_angle": math.pi / 6, "length": 0.5, "k": 0.45},
+    "ray": {"direction": math.pi, "length": 0.25, "scales": 20},
+    "gallery": {"preset": "auto", "count": 6},
+    "tolerances": {"quad_tol": 1e-10, "limit_tol": 1e-3},
+    "contour": {"M": 1, "N": 10},
+    "n_max": 12,
+}
+
+# Written by the release that evaluated each ray sample and seminorm pair
+# table once per gallery function
+README_SHA256 = {
+    "limit.csv": "29e44d244af73822c04e960f7030ca9138a1bf7211d588937924ccce81bc28b9",
+    "sweep.csv": "3d84218f8ac55d2c440dd03b81b29a551b10b3d00c2b64c18bda6b576d8ce4a4",
+}
+
+README_LEMMA_CHECK_CSV = """\
+radius,integral_magnitude,content_upper,seminorm,kappa_hat
+0.4,1.0053096491487339,0.7155417527999328,0.8944271909999161,1.5707963267948961
+0.2,0.25132741228718347,0.2529822128134704,0.632455532033676,1.5707963267948961
+0.1,0.06283185307179587,0.0894427190999916,0.44721359549995804,1.5707963267948961
+"""
+
+
+def readme_config(tmp_path):
+    p = tmp_path / "readme.json"
+    p.write_text(json.dumps(README_CONFIG))
+    return p
+
+
+def test_readme_limit_sweep_lemma_check_bytes(tmp_path):
+    p = readme_config(tmp_path)
+    out = tmp_path / "o"
+    for cmd in ("limit", "sweep", "lemma-check"):
+        assert run(cmd, p, out) == 0
+    for name, digest in README_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert (out / "lemma_check.csv").read_text() == README_LEMMA_CHECK_CSV
+
+
+def test_limit_checks_the_ray_once(tmp_path, monkeypatch):
+    calls = []
+    real = experiments.verify_interior_cone
+    monkeypatch.setattr(
+        experiments, "verify_interior_cone", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    assert run("limit", readme_config(tmp_path), tmp_path / "o") == 0
+    assert len(calls) == 1
+
+
+def test_manifest_after_cache_hit_describes_the_run(tmp_path, capsys):
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert run("criterion", p, out) == 0
+    assert run("criterion", p, out, "--seed", "1") == 0
+    capsys.readouterr()
+    assert run("criterion", p, out) == 0
+    (hit,) = [line for line in capsys.readouterr().out.splitlines() if "cache hit" in line]
+    manifest = json.loads((out / "criterion-manifest.json").read_text())
+    assert manifest["config_hash"] == hit.split()[-1]
+    assert manifest["seed"] == 0
+
+
+def test_cache_without_manifest_is_a_miss(tmp_path, capsys):
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert run("criterion", p, out) == 0
+    (cached,) = (out / ".cache").iterdir()
+    (cached / "criterion-manifest.json").unlink()
+    capsys.readouterr()
+    assert run("criterion", p, out) == 0
+    assert "cache hit" not in capsys.readouterr().out
+
+
+def test_lemma_check_manifest_counts_evaluations(tmp_path):
+    p = readme_config(tmp_path)
+    out = tmp_path / "o"
+    assert run("lemma-check", p, out) == 0
+    manifest = json.loads((out / "lemma-check-manifest.json").read_text())
+    f = conjugate_function()
+    results = [
+        contour.integrate_contour(contour.full_circle(0j, r), f, tol=1e-10)
+        for r in (0.4, 0.2, 0.1)
+    ]
+    assert manifest["evaluations"] == sum(r.evaluations for r in results)
+    assert manifest["err_to_tol"] == max(r.error_estimate for r in results) / 1e-10
+    assert 0.0 <= manifest["err_to_tol"] <= 1.0

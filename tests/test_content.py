@@ -4,12 +4,9 @@ import pytest
 
 from pointderiv import (
     ContentError,
-    Cover,
     Disk,
-    MeasureFunction,
     SwissCheeseDomain,
     annulus_complement,
-    cover_content,
     disjoint_disk_content,
     greedy_cover_upper,
 )
@@ -23,68 +20,6 @@ def _whole_disk_pieces(*disks):
         out.extend(p for p in annulus_complement(d, n) if p.is_whole)
     assert len(out) == len(disks)
     return out
-
-
-def test_measure_eval_plain_power():
-    h = MeasureFunction(alpha=0.5)
-    assert h(0.25) == pytest.approx(0.125)
-
-
-def test_measure_eval_with_epsilon():
-    h = MeasureFunction(alpha=0.5, epsilon=1.0, crossover=1.0)
-    assert h(0.25) == pytest.approx(0.25**2.5)
-
-
-def test_measure_eval_zero():
-    assert MeasureFunction(alpha=0.3, epsilon=2.0)(0.0) == 0.0
-
-
-def test_measure_monotone_and_dominated():
-    h = MeasureFunction(alpha=0.5, epsilon=0.5, crossover=0.1)
-    ts = [10.0**-k for k in range(8)]
-    vals = [h(t) for t in ts]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    assert all(h(t) <= t**1.5 + 1e-18 for t in ts)
-
-
-def test_measure_validation():
-    with pytest.raises(ContentError):
-        MeasureFunction(alpha=1.5)
-    with pytest.raises(ContentError):
-        MeasureFunction(alpha=0.5, epsilon=-1.0)
-
-
-def test_cover_content_single_ball():
-    h = MeasureFunction(alpha=0.5)
-    val = cover_content(Cover(balls=(Disk(0j, 0.1),)), h)
-    assert val == pytest.approx(0.2**1.5)  # ~0.08944
-
-
-def test_cover_content_two_balls():
-    h = MeasureFunction(alpha=0.5)
-    val = cover_content(Cover(balls=(Disk(0j, 0.1), Disk(0.5, 0.1))), h)
-    assert val == pytest.approx(2 * 0.2**1.5)  # ~0.17889
-
-
-def test_cover_content_empty():
-    assert cover_content(Cover(balls=()), MeasureFunction(alpha=0.5)) == 0.0
-
-
-def test_cover_content_containment_check():
-    (piece,) = _whole_disk_pieces(Disk(0.1875, 0.03125))
-    h = MeasureFunction(alpha=0.5)
-    good = Cover(balls=(Disk(0.1875, 0.03125),), target=piece)
-    assert cover_content(good, h) == pytest.approx(0.0625**1.5)
-    bad = Cover(balls=(Disk(0.1875, 0.01),), target=piece)
-    with pytest.raises(ContentError):
-        cover_content(bad, h)
-
-
-def test_cover_content_monotone_in_h():
-    cover = Cover(balls=(Disk(0j, 0.1), Disk(0.5, 0.05)))
-    h1 = MeasureFunction(alpha=0.5, epsilon=1.0, crossover=1.0)
-    h2 = MeasureFunction(alpha=0.5)
-    assert cover_content(cover, h1) <= cover_content(cover, h2)
 
 
 def test_disjoint_disk_content_single():

@@ -5,14 +5,22 @@ import pytest
 from pointderiv import (
     CONVERGED,
     Disk,
+    DiskRegion,
     GalleryFunction,
     Ray,
+    build_test_gallery,
     functional_sweep,
     hole_hugging_curve,
     nontangential_limit,
+    seminorm_estimate,
     tangential_probe,
 )
-from pointderiv.experiments import INCONCLUSIVE, NOT_CONVERGED
+from pointderiv.experiments import (
+    INCONCLUSIVE,
+    NOT_CONVERGED,
+    _limit_report,
+    _nontangential_limits,
+)
 from pointderiv.geometry import GeometryError
 
 
@@ -133,6 +141,39 @@ def test_sweep_consistency_with_contour(domain, ray, cone):
         x = ray.point(ray.length * 2.0**-j)
         q = quotient_via_cauchy(f, x, cone, N=10, M=1, tol=1e-10)
         assert abs(q - f(x) / x) <= 1e-8
+
+
+def _scalar_limit(f, domain, ray, scales, limit_tol):
+    """The limit run with one scalar evaluation of f per quotient."""
+    x0 = domain.base_point
+    samples = []
+    for j in range(scales + 1):
+        x = ray.point(ray.length * 2.0**-j)
+        samples.append((x, (f(x) - f(x0)) / (x - x0)))
+    return _limit_report(samples, f.derivative(x0), limit_tol)
+
+
+def test_gallery_limits_equal_scalar_runs(domain, ray):
+    gallery = build_test_gallery(domain, 27)
+    reports = _nontangential_limits(gallery, domain, ray, 20, 1e-3)
+    assert len(reports) == 27
+    for f, rep in zip(gallery, reports):
+        # repr shows every float in full, so equal reprs are equal bits
+        assert repr(rep) == repr(nontangential_limit(f, domain, ray, 20, 1e-3))
+        assert repr(rep) == repr(_scalar_limit(f, domain, ray, 20, 1e-3))
+
+
+def test_sweep_equals_per_function_seminorms(domain, ray, gallery):
+    rep = functional_sweep(gallery, domain, ray, scales=12, alpha=0.4, seed=3)
+    region = DiskRegion(domain.outer.center, domain.outer.radius)
+    sems = {
+        i: seminorm_estimate(f, region, 0.4, seed=3).value for i, f in enumerate(gallery)
+    }
+    assert rep.skipped == () and len(rep.grid) == 13 * len(gallery)
+    for i, x, lx, ratio in rep.grid:
+        f = gallery[i]
+        assert lx == abs(f(x) / x - f.derivative(0j))
+        assert ratio == lx / sems[i]
 
 
 def test_tangential_probe_analytic(domain):

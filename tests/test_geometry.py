@@ -7,6 +7,7 @@ from pointderiv import (
     ClippedPiece,
     ConeSpec,
     Disk,
+    DiskRegion,
     GeometryError,
     Ray,
     SwissCheeseDomain,
@@ -163,12 +164,22 @@ def test_annulus_complement_clipped():
     assert p1[0].r_inner == 0.25 and p2[0].r_outer == 0.25
 
 
+def _piece_points(piece, count, rng):
+    """Points of a piece, by rejection from its hole disk."""
+    r = piece.hole.radius * np.sqrt(rng.random(8 * count))
+    z = piece.hole.center + r * np.exp(2j * math.pi * rng.random(8 * count))
+    rr = np.abs(z - piece.annulus_center)
+    z = z[(rr >= piece.r_inner) & (rr <= piece.r_outer)][:count]
+    assert len(z) == count
+    return z
+
+
 def test_clipped_pieces_contained_and_disjoint(domain):
     rng = np.random.default_rng(0)
     for n in (3, 4, 5):
         for p in annulus_complement(domain, n):
             ri, ro = annulus_radii(n)
-            for z in p.sample_points(100, rng):
+            for z in _piece_points(p, 100, rng):
                 z = complex(z)
                 assert abs(z - p.hole.center) <= p.hole.radius + 1e-12
                 assert ri - 1e-12 <= abs(z) <= ro + 1e-12
@@ -290,6 +301,63 @@ def test_point_set_diameter_small_sets():
     # more points than one block; the farthest pair sits in different blocks
     pts = np.concatenate([np.zeros(100), np.linspace(0, 1, 100) * 1j, [2.0 + 0j]])
     assert _point_set_diameter(pts) == math.sqrt(5.0)
+
+
+def _pairwise_diameter(pts):
+    """Largest distance over all pairs at once, with nothing pruned."""
+    dx = pts.real[:, None] - pts.real[None, :]
+    dy = pts.imag[:, None] - pts.imag[None, :]
+    return math.sqrt(float((dx * dx + dy * dy).max()))
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        # points on one circle: nearly all of them survive the pruning
+        np.exp(2j * math.pi * np.arange(500) / 500),
+        1e6 + 1e-3 * np.exp(2j * math.pi * np.arange(301) / 301),
+        # collinear, each point three times
+        np.repeat(np.linspace(0.0, 1.0, 70), 3) * (1 + 2j),
+        np.array([0.25 + 0.5j, 0.25 + 0.5j]),
+        np.array([0j, 3 + 4j]),
+        np.array([0j, 1.0, 0.4 + 2j]),
+        # two farthest pairs of equal length, the diagonals of a square
+        np.concatenate([[0j, 1.0, 1 + 1j, 1j], 0.5 + 0.5j + 0.3 * np.exp(1j * np.arange(50))]),
+    ],
+)
+def test_pruned_diameter_equals_all_pairs(pts):
+    assert _point_set_diameter(pts) == _pairwise_diameter(pts)
+
+
+def test_pruned_piece_diameter_equals_all_pairs():
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 60:
+        n = int(rng.integers(1, 12))
+        ri, ro = annulus_radii(n)
+        rc = (ri, ro, ri + (ro - ri) * rng.random())[checked % 3]
+        radius = (ro - ri) * (0.05 + 0.9 * rng.random())
+        hole = Disk(rc * np.exp(2j * math.pi * rng.random()), radius)
+        pts = ClippedPiece(hole, 0j, n, ri, ro, is_whole=False).boundary_samples()
+        if len(pts) < 2:
+            continue
+        assert _point_set_diameter(pts) == _pairwise_diameter(pts)
+        checked += 1
+
+
+def test_disk_contains_many_equals_contains():
+    rng = np.random.default_rng(5)
+    region = DiskRegion(0.3 - 0.2j, 0.7)
+    # radii anywhere in 1.2 times the disk, then on the circle and one ulp
+    # inside and outside it
+    ulp = [region.radius, np.nextafter(region.radius, 0.0), np.nextafter(region.radius, 2.0)]
+    r = np.concatenate([1.2 * region.radius * np.sqrt(rng.random(4000)), np.repeat(ulp, 1000)])
+    z = region.center + r * np.exp(2j * math.pi * rng.random(len(r)))
+    want = np.array([region.contains(complex(c)) for c in z])
+    got = region.contains_many(z)
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
+    assert want[4000:].any() and not want[4000:].all()
 
 
 def test_ray_point():
