@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -314,7 +315,7 @@ class RunContext:
     svg: bool
     command: str
 
-    @property
+    @functools.cached_property
     def hash(self) -> str:
         return config_hash(self.cfg.raw, self.cfg.seed, self.cfg.quad_tol)
 
@@ -535,7 +536,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; `parse_args` leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="pointderiv",
         description="Bounded point derivation experiments on Swiss-cheese domains",

@@ -221,13 +221,12 @@ def _primitive_table(prims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return is_arc, real, cplx
 
 
-def _panel_sums(table, idx, lo, hi, integrand) -> np.ndarray:
-    """15-point Gauss-Legendre sums over [lo, hi] on the primitives `idx` of
-    a `_primitive_table`, from one `integrand` call.
+def _panel_nodes(table, idx, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes z, velocities at them and half-widths of the
+    panels [lo, hi] on the primitives `idx` of a `_primitive_table`.
 
-    `lo` and `hi` hold one row of panels per entry of `idx`.  Each sum is
-    reduced along the node axis on its own, so a panel's sum does not depend
-    on which other panels share the call.
+    `lo` and `hi` hold one row of panels per entry of `idx`; z and the
+    velocities add the node axis.
     """
     is_arc, real, cplx = table
     arc = is_arc[idx, None, None]
@@ -239,8 +238,68 @@ def _panel_sums(table, idx, lo, hi, integrand) -> np.ndarray:
     e = np.exp(1j * (a0 + da * t))
     z = np.where(arc, centre + radius * e, z0 + dz * t)
     vel = np.where(arc, vcoef * e, dz)
+    return z, vel, half
+
+
+def _panel_sums(nodes, integrand) -> np.ndarray:
+    """15-point Gauss-Legendre sums over the panels of `_panel_nodes`, from
+    one `integrand` call.
+
+    Each sum is reduced along the node axis on its own, so a panel's sum
+    does not depend on which other panels share the call.
+    """
+    z, vel, half = nodes
     vals = np.asarray(integrand(z.ravel())) * vel.ravel()
-    return half * np.sum(vals.reshape(t.shape) * _GL_WEIGHTS, axis=-1)
+    return half * np.sum(vals.reshape(z.shape) * _GL_WEIGHTS, axis=-1)
+
+
+# Columns of the panel state in `_integrate_many`, one row per panel: its
+# primitive, [lo, hi] with its midpoint, tolerance, own id, parent's id (-1
+# for a whole primitive) and depth.  Each is a small integer or a dyadic
+# rational, so float64 holds it exactly.
+_IDX, _LO, _MID, _HI, _TOL, _ID, _PARENT, _DEPTH = range(8)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What `_integrate_many` needs of a path set before it sees an integrand."""
+
+    path_of: np.ndarray  # each primitive's path
+    shares: np.ndarray  # each primitive's share of its path's tolerance
+    table: tuple  # `_primitive_table` of the primitives
+    state: np.ndarray  # level-0 panel state, a whole primitive each; tolerances 0
+    nodes: tuple  # `_panel_nodes` of each primitive's coarse, left and right panel
+    evaluations: np.ndarray  # integrand points of level 0, per path
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
+    """The plan of a path set, built once per distinct tuple of paths.
+
+    Paths are frozen and compared by value, so equal path sets share one
+    plan; as for the memoised builders, `lru_cache` takes 0.0 and -0.0 for
+    the same key.  Every array is read-only, because every later call with
+    these paths reads it.
+    """
+    prims, path_of, shares = [], [], []
+    for k, path in enumerate(paths):
+        segs = path.segments
+        total_len = path.total_length
+        prims += segs
+        path_of += [k] * len(segs)
+        shares += [p.length / total_len if total_len > 0 else 1.0 / len(segs) for p in segs]
+    n = len(prims)
+    table = _primitive_table(prims)
+    state = np.zeros((n, 8))
+    state[:, _IDX] = state[:, _ID] = np.arange(n)
+    state[:, _MID], state[:, _HI], state[:, _PARENT] = 0.5, 1.0, -1.0
+    lo, mid, hi = state[:, _LO], state[:, _MID], state[:, _HI]
+    nodes = _panel_nodes(table, np.arange(n), np.stack([lo, lo, mid], -1), np.stack([hi, mid, hi], -1))
+    path_of, shares = np.array(path_of), np.array(shares)
+    evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
+    for a in (path_of, shares, *table, state, *nodes, evaluations):
+        a.flags.writeable = False
+    return _Plan(path_of, shares, table, state, nodes, evaluations)
 
 
 def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> QuadratureResult:
@@ -273,80 +332,71 @@ def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
     failure, and every panel sum is reduced on its own, so each result is
     bitwise the one of a call for its path alone.  If several paths fail,
     the `ToleranceError` is that of the first of them in `paths`, as in a
-    loop of single calls.
+    loop of single calls.  What depends only on the paths, up to the nodes
+    of level 0, comes from their memoised `_plan`.
     """
     if tol <= 0:
         raise ContourError("tolerance must be positive")
-    prims, path_of, tols = [], [], []
-    for k, path in enumerate(paths):
-        segs = path.segments
-        total_len = path.total_length
-        prims += segs
-        path_of += [k] * len(segs)
-        tols += [tol * (p.length / total_len if total_len > 0 else 1.0 / len(segs)) for p in segs]
-    n = len(prims)
-    path_of, tols = np.array(path_of), np.array(tols)
-    idx, lo, hi, ids, depth = np.arange(n), np.zeros(n), np.ones(n), np.arange(n), np.zeros(n, int)
-    mid = 0.5 * (lo + hi)
-    table = _primitive_table(prims)
-    coarse, left, right = _panel_sums(
-        table, idx, np.stack([lo, lo, mid], -1), np.stack([hi, mid, hi], -1), integrand
-    ).T
-    evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
-    # panels awaiting refinement, in path order: idx, lo, hi, tols, coarse, ids, depth
-    rest = [a[:0] for a in (idx, lo, hi, tols, coarse, ids, depth)]
-    records = []
+    plan = _plan(tuple(paths))
+    path_of = plan.path_of
+    n = len(path_of)
+    state = plan.state.copy()
+    state[:, _TOL] = tol * plan.shares
+    sums = _panel_sums(plan.nodes, integrand)
+    coarse, halves = sums[:, 0], sums[:, 1:]
+    rest, rest_coarse = state[:0], coarse[:0]  # panels awaiting refinement, in path order
+    states, fines, errs = [], [], []
     failures = {}  # path -> its leftmost failing panel so far
     next_id = n
     while True:
-        fine = left + right
+        fine = halves[:, 0] + halves[:, 1]
         diff = fine - coarse
         err = np.hypot(diff.real, diff.imag)
-        done = (err <= tols) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag)))
+        done = (err <= state[:, _TOL]) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag)))
         split = ~done
-        failed = np.flatnonzero(~done & (depth >= _MAX_DEPTH))
+        failed = np.flatnonzero(split & (state[:, _DEPTH] >= _MAX_DEPTH))
         if failed.size:
             # a depth-first search of a path raises at its first failing panel
             # before it reaches any panel further right, so those are dropped
-            pid = path_of[idx]
+            pid = path_of[state[:, _IDX].astype(np.intp)]
             first = {}
             for i in failed.tolist():
                 first.setdefault(int(pid[i]), i)
             for k, i in first.items():
-                failures[k] = (lo[i], hi[i], tols[i], fine[i], err[i])
+                failures[k] = (*state[i, [_LO, _HI, _TOL]], fine[i], err[i])
                 split[i:] &= pid[i:] != k
-            alive = ~np.isin(path_of[rest[0]], list(first))
-            rest = [a[alive] for a in rest]
-        split = np.flatnonzero(split)
-        child = np.full(len(done), -1)
-        child[split] = next_id + 2 * np.arange(len(split))
-        records.append((ids, fine, err, depth, child))
-        children = [
-            np.repeat(idx[split], 2),
-            np.stack([lo[split], mid[split]], -1).ravel(),
-            np.stack([mid[split], hi[split]], -1).ravel(),
-            np.repeat(tols[split] / 2.0, 2),
-            np.stack([left[split], right[split]], -1).ravel(),
-            next_id + np.arange(2 * len(split)),
-            np.repeat(depth[split] + 1, 2),
-        ]
-        next_id += 2 * len(split)
-        queue = [np.concatenate([c, r]) for c, r in zip(children, rest)]
-        if not len(queue[0]):
-            break
-        if len(rest[0]):
+            alive = ~np.isin(path_of[rest[:, _IDX].astype(np.intp)], list(first))
+            rest, rest_coarse = rest[alive], rest_coarse[alive]
+        states.append(state)
+        fines.append(fine)
+        errs.append(err)
+        # each split panel becomes its halves [lo, mid] and [mid, hi]
+        kids = np.repeat(state[split], 2, axis=0)
+        kids[0::2, _HI] = kids[0::2, _MID]
+        kids[1::2, _LO] = kids[1::2, _MID]
+        kids[:, _MID] = 0.5 * (kids[:, _LO] + kids[:, _HI])
+        kids[:, _TOL] /= 2.0
+        kids[:, _PARENT] = kids[:, _ID]
+        kids[:, _ID] = np.arange(next_id, next_id + len(kids))
+        kids[:, _DEPTH] += 1.0
+        next_id += len(kids)
+        state, coarse = kids, halves[split].ravel()
+        if len(rest):
             # each primitive's children go before its waiting panels
-            order = np.argsort(queue[0], kind="stable")
-            queue = [a[order] for a in queue]
-        pid = path_of[queue[0]]
-        take = np.arange(len(pid)) - np.searchsorted(pid, pid) < _BATCH
-        idx, lo, hi, tols, coarse, ids, depth = (a[take] for a in queue)
-        rest = [a[~take] for a in queue]
-        mid = 0.5 * (lo + hi)
-        left, right = _panel_sums(
-            table, idx, np.stack([lo, mid], -1), np.stack([mid, hi], -1), integrand
-        ).T
-        evaluations += 2 * len(_GL_NODES) * np.bincount(path_of[idx], minlength=len(paths))
+            state, coarse = np.concatenate([state, rest]), np.concatenate([coarse, rest_coarse])
+            order = np.argsort(state[:, _IDX], kind="stable")
+            state, coarse = state[order], coarse[order]
+        if not len(state):
+            break
+        # with nothing waiting and at most _BATCH panels queued, all are under the cap
+        if len(rest) or len(state) > _BATCH:
+            pid = path_of[state[:, _IDX].astype(np.intp)]
+            take = np.arange(len(pid)) - np.searchsorted(pid, pid) < _BATCH
+            rest, rest_coarse = state[~take], coarse[~take]
+            state, coarse = state[take], coarse[take]
+        # the halves [lo, mid] and [mid, hi] of every panel
+        lo, hi = state[:, _LO : _MID + 1], state[:, _MID : _HI + 1]
+        halves = _panel_sums(_panel_nodes(plan.table, state[:, _IDX].astype(np.intp), lo, hi), integrand)
     if failures:
         a, b, t, best, err = failures[min(failures)]
         raise ToleranceError(
@@ -355,15 +405,20 @@ def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
             best=complex(best),
             error_estimate=float(err),
         )
+    # every panel was evaluated once; its sums go up the tree bottom-up
+    state = np.concatenate(states)
+    ids = state[:, _ID].astype(np.intp)
     value, error = np.empty(next_id, complex), np.empty(next_id)
-    level, child = np.empty(next_id, int), np.empty(next_id, int)
-    for ids, fine, err, depth, kids in records:
-        value[ids], error[ids], level[ids], child[ids] = fine, err, depth, kids
-    for d in range(level.max() - 1, -1, -1):
-        node = np.flatnonzero((level == d) & (child >= 0))
-        kid = child[node]
-        value[node] = value[kid] + value[kid + 1]
-        error[node] = error[kid] + error[kid + 1]
+    parent, depth = np.empty(next_id, np.intp), np.empty(next_id, np.intp)
+    value[ids], error[ids] = np.concatenate(fines), np.concatenate(errs)
+    parent[ids], depth[ids] = state[:, _PARENT], state[:, _DEPTH]
+    for d in range(depth.max(), 0, -1):
+        kid = np.flatnonzero(depth == d)[::2]  # left halves; siblings have consecutive ids
+        value[parent[kid]] = value[kid] + value[kid + 1]
+        error[parent[kid]] = error[kid] + error[kid + 1]
+    # the panels after level 0 cost 2 * 15 points each
+    refined = np.bincount(path_of[state[n:, _IDX].astype(np.intp)], minlength=len(paths))
+    evaluations = plan.evaluations + 2 * len(_GL_NODES) * refined
     totals, total_errs = [0j] * len(paths), [0.0] * len(paths)
     for k, v, e in zip(path_of.tolist(), value[:n].tolist(), error[:n].tolist()):
         totals[k] += v
@@ -433,6 +488,7 @@ def _clockwise_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
     return build_annular_piece(n, cone).reversed()
 
 
+@functools.lru_cache(maxsize=256)
 def full_circle(center: complex, radius: float) -> ContourPath:
     half1 = Arc(center, radius, 0.0, math.pi)
     half2 = Arc(center, radius, math.pi, 2.0 * math.pi)

@@ -7,6 +7,7 @@ point by construction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -254,11 +255,9 @@ def build_test_gallery(
 
     Mixes polynomials, normalized poles at hole centers, Cauchy transforms of
     the holes, and combinations.  Pole weights are scaled by center^2 so all
-    difference quotients stay O(1).
+    difference quotients stay O(1).  Only the functions returned are built.
     """
     x0 = domain.base_point
-    funcs: list[GalleryFunction] = []
-
     polys = [
         (0, 1),
         (0, 0, 1),
@@ -267,46 +266,40 @@ def build_test_gallery(
         (0, 1j, 0, 0.25),
         (0, 2, -1, 0.5j),
     ]
-    for i, coeffs in enumerate(polys):
-        funcs.append(
-            GalleryFunction(
-                poly_coeffs=coeffs, base_point=x0, label=f"poly{i}"
-            )
-        )
-
     phases = [1.0, 1j, 0.7 - 0.7j, -1.0]
-    for i, h in enumerate(domain.holes):
-        c = h.center - x0
-        w = phases[i % len(phases)] * c * c
-        funcs.append(
-            GalleryFunction(
+
+    def functions():
+        for i, coeffs in enumerate(polys):
+            yield GalleryFunction(poly_coeffs=coeffs, base_point=x0, label=f"poly{i}")
+        for i, h in enumerate(domain.holes):
+            c = h.center - x0
+            w = phases[i % len(phases)] * c * c
+            yield GalleryFunction(
                 rational_terms=((h.center, w),),
                 base_point=x0,
                 label=f"pole@{h.center:.4g}",
             )
-        )
-    for i, h in enumerate(domain.holes):
-        funcs.append(
-            GalleryFunction(
+        for i, h in enumerate(domain.holes):
+            yield GalleryFunction(
                 ct_terms=((h, phases[(i + 1) % len(phases)]),),
                 base_point=x0,
                 label=f"ct@{h.center:.4g}",
             )
-        )
-    # mixed: polynomial plus a pole plus a ct part
-    for i, h in enumerate(domain.holes):
-        c = h.center - x0
-        funcs.append(
-            GalleryFunction(
+        # mixed: polynomial plus a pole plus a ct part
+        for i, h in enumerate(domain.holes):
+            c = h.center - x0
+            yield GalleryFunction(
                 poly_coeffs=(0, 1, 0.5j),
                 rational_terms=((h.center, 0.5 * c * c),),
                 ct_terms=((h, 1.0),),
                 base_point=x0,
                 label=f"mixed@{h.center:.4g}",
             )
-        )
-    if len(funcs) < count:
+
+    available = len(polys) + 3 * len(domain.holes)
+    if available < count:
         raise GalleryError(
-            f"domain supports only {len(funcs)} gallery functions, need {count}"
+            f"domain supports only {available} gallery functions, need {count}"
         )
-    return funcs[:count]
+    # as many as the slice [:count] of all of them keeps, for a negative count too
+    return list(itertools.islice(functions(), len(range(available)[:count])))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointderiv import (
     Arc,
@@ -348,6 +350,79 @@ def test_integrate_many_caps_each_path_on_its_own():
     solo = sizes([wide])
     assert max(solo) == 2 * len(_GL_NODES) * contour._BATCH
     assert sizes([wide, wide]) == [2 * n for n in solo]
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    order=st.lists(st.integers(0, 10), min_size=1, max_size=11, unique=True),
+    index=st.integers(0, 19),
+    t=st.floats(0.005, 0.35),
+)
+def test_integrate_many_any_path_subset_matches_single_paths(order, index, t, gallery):
+    # any subset of the decomposition paths, in any order, with any gallery
+    # function and ray point gives each path's own result
+    paths = [_decomposition_paths()[i] for i in order]
+    f, x = gallery[index], complex(-t)
+
+    def integrand(z):
+        return f(z) / (z * (z - x))
+
+    many = contour._integrate_many(paths, integrand, 1e-10 / 11)
+    single = [integrate_contour(path, integrand, tol=1e-10 / 11) for path in paths]
+    assert [_result_bits(r) for r in many] == [_result_bits(r) for r in single]
+
+
+def _report_bits(rep):
+    return (
+        _bits(rep.lhs),
+        [(n, _bits(t)) for n, t in rep.annular_terms],
+        _bits(rep.inner_circle_term),
+        rep.residual.hex(),
+        rep.evaluations,
+        rep.err_to_tol.hex(),
+    )
+
+
+def test_plan_reuse_leaves_results_unchanged(gallery):
+    # a plan hit, including its cached level-0 evaluation counts, gives what
+    # a plan built afresh for every call gives
+    cases = [(gallery[i], x) for i in (1, 8, 15) for x in (-0.3, -0.02)]
+    hits = [annular_decomposition(f, x, CONE, M=1, N=10) for f, x in cases]
+    assert [_report_bits(r) for r in hits] == [
+        _report_bits(annular_decomposition(f, x, CONE, M=1, N=10)) for f, x in cases
+    ]
+    fresh = []
+    for f, x in cases:
+        contour._plan.cache_clear()
+        fresh.append(annular_decomposition(f, x, CONE, M=1, N=10))
+    assert [_report_bits(r) for r in hits] == [_report_bits(r) for r in fresh]
+
+
+def test_plan_arrays_are_read_only():
+    plan = contour._plan(tuple(_decomposition_paths()))
+    arrays = [plan.path_of, plan.shares, *plan.table, plan.state, *plan.nodes, plan.evaluations]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_full_circle_memoised_and_equal_paths_share_results():
+    assert full_circle(0j, 0.5) is full_circle(0j, 0.5)
+    # equal but not identical: the plan cache compares paths by value
+    fresh = ContourPath(
+        (Arc(0j, 0.5, 0.0, math.pi), Arc(0j, 0.5, math.pi, 2.0 * math.pi)),
+        closed=True,
+        check_simple=False,
+    )
+    assert fresh == full_circle(0j, 0.5) and fresh is not full_circle(0j, 0.5)
+
+    def integrand(z):
+        return np.exp(z) / (z - 0.1)
+
+    want = integrate_contour(full_circle(0j, 0.5), integrand)
+    assert _result_bits(integrate_contour(fresh, integrand)) == _result_bits(want)
+    contour._plan.cache_clear()
+    assert _result_bits(integrate_contour(fresh, integrand)) == _result_bits(want)
 
 
 def test_builders_memoised_and_checked_once(monkeypatch):

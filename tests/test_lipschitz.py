@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,25 @@ def test_build_test_gallery(domain, gallery):
     for f in gallery:
         assert f(0j) == 0j
         f.validate_for_domain(domain)
+
+
+def _gallery_fields(f):
+    # repr tells -0.0 from 0.0 and keeps every digit; `_offset` is compared too
+    return repr([getattr(f, fl.name) for fl in dataclasses.fields(f)])
+
+
+@pytest.mark.parametrize("count", [0, 1, 6, 20, 27])
+def test_build_test_gallery_builds_a_prefix(domain, count):
+    available = 6 + 3 * len(domain.holes)
+    assert available == 27
+    everything = build_test_gallery(domain, available)
+    got = build_test_gallery(domain, count)
+    assert [_gallery_fields(f) for f in got] == [_gallery_fields(f) for f in everything[:count]]
+
+
+def test_build_test_gallery_rejects_too_many(domain):
+    with pytest.raises(GalleryError, match="domain supports only 27 gallery functions, need 28"):
+        build_test_gallery(domain, 28)
 
 
 def test_validate_for_domain_rejects_outside_pole(domain):
