@@ -1,9 +1,10 @@
 """Config-driven command line front end.
 
-One JSON config file fully determines a run; results are CSV tables (plus
-optional static SVG plots) written atomically, with a manifest keyed by the
-config hash.  Exit codes: 0 success, 2 config error, 3 numerical-tolerance
-failure.
+One JSON config file fully determines a run.  Each command computes its CSV
+tables (plus optional static SVG plots) and stdout lines without writing
+anything; `RunContext.emit` then writes the files atomically, with a manifest
+that records the run's settings.  Exit codes: 0 success, 2 config error,
+3 numerical-tolerance failure.
 """
 from __future__ import annotations
 
@@ -15,12 +16,14 @@ import hashlib
 import json
 import math
 import os
-import shutil
+import platform
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .contour import (
@@ -126,7 +129,10 @@ def _parse_gallery(spec, domain: SwissCheeseDomain) -> list[GalleryFunction]:
     if spec is None:
         spec = {"preset": "auto", "count": 6}
     if isinstance(spec, dict) and "preset" in spec:
-        return build_test_gallery(domain, int(spec.get("count", 6)))
+        count = int(spec.get("count", 6))
+        if count < 1:
+            raise ConfigError(f"gallery count must be at least 1, got {count}")
+        return build_test_gallery(domain, count)
     funcs = []
     for i, g in enumerate(spec):
         with _section(f"gallery[{i}]"):
@@ -245,8 +251,9 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
 
 
 def config_hash(raw: dict, seed: int, quad_tol: float | None = None) -> str:
-    """Key of a run's results: the raw config, the effective seed and
-    quadrature tolerance (after `--seed` and `--tol`) and the tool version."""
+    """Identifies a run in its manifest: a hash of the raw config, the
+    effective seed and quadrature tolerance (after `--seed` and `--tol`) and
+    the tool version."""
     canon = json.dumps(
         {"config": raw, "seed": seed, "quad_tol": quad_tol, "version": __version__},
         sort_keys=True,
@@ -260,7 +267,6 @@ def config_hash(raw: dict, seed: int, quad_tol: float | None = None) -> str:
 
 
 def _atomic_write(path: Path, data: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -307,66 +313,53 @@ def _svg_loglog(points: list[tuple[float, float]], title: str) -> str:
     )
 
 
+# What a command returns: files by name, stdout lines and manifest stats
+Outputs = tuple[dict[str, str], list[str], dict]
+
+
 @dataclass
 class RunContext:
     cfg: RunConfig
     out: Path
-    use_cache: bool
     svg: bool
     command: str
 
-    @functools.cached_property
-    def hash(self) -> str:
-        return config_hash(self.cfg.raw, self.cfg.seed, self.cfg.quad_tol)
-
-    @property
-    def cache_dir(self) -> Path:
-        # --svg adds files, so a run with it never reuses a run without
-        svg = "-svg" if self.svg else ""
-        return self.out / ".cache" / f"{self.hash}-{self.command}{svg}"
-
-    @property
-    def manifest_name(self) -> str:
-        return f"{self.command}-manifest.json"
-
-    def emit(self, files: dict[str, str], stdout_lines: list[str], stats: dict | None = None) -> None:
-        """Write `files`, the manifest (with the run's `stats`, if any) and
-        the stdout lines; with the cache on, also the files and manifest
-        into the cache directory."""
+    def emit(self, files: dict[str, str], stdout_lines: list[str], stats: dict) -> None:
+        """Write `files` and `<command>-manifest.json` into `out`, then print
+        the stdout lines.  The manifest holds the config hash, the effective
+        seed and quadrature tolerance, the tool, Python and numpy versions,
+        the file names and the command's `stats`."""
         manifest = {
-            "config_hash": self.hash,
+            "config_hash": config_hash(self.cfg.raw, self.cfg.seed, self.cfg.quad_tol),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             "tool_version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "command": self.command,
             "seed": self.cfg.seed,
+            "quad_tol": self.cfg.quad_tol,
             "files": sorted(files),
-            **(stats or {}),
+            **stats,
         }
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        # the manifest goes last: a cache directory without one is a miss
-        for name, data in [*files.items(), (self.manifest_name, manifest_text)]:
+        self.out.mkdir(parents=True, exist_ok=True)
+        for name, data in [*files.items(), (f"{self.command}-manifest.json", manifest_text)]:
             _atomic_write(self.out / name, data)
-            if self.use_cache:
-                _atomic_write(self.cache_dir / name, data)
         for line in stdout_lines:
             print(line)
 
     def try_cache(self) -> bool:
-        """Copy the cached files and manifest of this run into `out`, if
-        there are any."""
-        if not self.use_cache or not (self.cache_dir / self.manifest_name).is_file():
-            return False
-        for p in sorted(self.cache_dir.iterdir()):
-            shutil.copyfile(p, self.out / p.name)
-        print(f"cache hit {self.hash}")
-        return True
+        """Always False: there is no result cache.  Kept because the
+        benchmark's tracer (`perfbench/tracing.py`) wraps this method by name
+        and `tests/test_bench_coupling.py` checks that it exists."""
+        return False
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_criterion(ctx: RunContext) -> int:
+def cmd_criterion(ctx: RunContext) -> Outputs:
     cfg = ctx.cfg
     report = lord_ofarrell_series(cfg.domain, cfg.alpha, cfg.n_max)
     rows = [
@@ -375,11 +368,10 @@ def cmd_criterion(ctx: RunContext) -> int:
     ]
     files = {"criterion.csv": _csv(rows, ["n", "content_upper", "weighted_term", "partial_sum"])}
     lines = [f"verdict {report.verdict} total {report.total!r} ({report.notes})"]
-    ctx.emit(files, lines)
-    return 0
+    return files, lines, {}
 
 
-def cmd_limit(ctx: RunContext) -> int:
+def cmd_limit(ctx: RunContext) -> Outputs:
     cfg = ctx.cfg
     if cfg.ray is None:
         raise ConfigError("limit requires a ray section")
@@ -406,11 +398,10 @@ def cmd_limit(ctx: RunContext) -> int:
     }
     if ctx.svg:
         files["limit.svg"] = _svg_loglog(svg_points, "deviation vs |x| (log-log)")
-    ctx.emit(files, lines)
-    return 0
+    return files, lines, {}
 
 
-def cmd_sweep(ctx: RunContext) -> int:
+def cmd_sweep(ctx: RunContext) -> Outputs:
     cfg = ctx.cfg
     if cfg.ray is None:
         raise ConfigError("sweep requires a ray section")
@@ -421,11 +412,10 @@ def cmd_sweep(ctx: RunContext) -> int:
     files = {
         "sweep.csv": _csv(rows, ["function_index", "x_re", "x_im", "functional_abs", "ratio"])
     }
-    ctx.emit(files, [f"max_ratio {rep.max_ratio!r} skipped {list(rep.skipped)}"])
-    return 0
+    return files, [f"max_ratio {rep.max_ratio!r} skipped {list(rep.skipped)}"], {}
 
 
-def cmd_decompose(ctx: RunContext) -> int:
+def cmd_decompose(ctx: RunContext) -> Outputs:
     cfg = ctx.cfg
     if cfg.cone is None or cfg.ray is None:
         raise ConfigError("decompose requires cone and ray sections")
@@ -446,11 +436,10 @@ def cmd_decompose(ctx: RunContext) -> int:
     rows.append(["residual", "", rep.residual, 0.0])
     files = {"decompose.csv": _csv(rows, ["kind", "n", "value_re", "value_im"])}
     stats = {"evaluations": rep.evaluations, "err_to_tol": rep.err_to_tol}
-    ctx.emit(files, [f"residual {rep.residual!r}"], stats)
-    return 0
+    return files, [f"residual {rep.residual!r}"], stats
 
 
-def cmd_lemma_check(ctx: RunContext) -> int:
+def cmd_lemma_check(ctx: RunContext) -> Outputs:
     cfg = ctx.cfg
     f = conjugate_function()
     rows = []
@@ -479,11 +468,10 @@ def cmd_lemma_check(ctx: RunContext) -> int:
         "evaluations": sum(rep.evaluations for rep in reports),
         "err_to_tol": max((rep.err_to_tol for rep in reports), default=0.0),
     }
-    ctx.emit(files, lines, stats)
-    return 0
+    return files, lines, stats
 
 
-def cmd_content(ctx: RunContext) -> int:
+def cmd_content(ctx: RunContext) -> Outputs:
     cfg = ctx.cfg
     rows = []
     for n in range(1, cfg.n_max + 1):
@@ -501,11 +489,10 @@ def cmd_content(ctx: RunContext) -> int:
             rows, ["n", "piece_count", "upper", "lower_heuristic", "method"]
         )
     }
-    ctx.emit(files, [f"annuli {cfg.n_max}"])
-    return 0
+    return files, [f"annuli {cfg.n_max}"], {}
 
 
-def cmd_cone(ctx: RunContext) -> int:
+def cmd_cone(ctx: RunContext) -> Outputs:
     cfg = ctx.cfg
     if cfg.ray is None:
         raise ConfigError("cone requires a ray section")
@@ -521,8 +508,7 @@ def cmd_cone(ctx: RunContext) -> int:
     files = {
         "cone.csv": _csv(rows, ["sample_index", "t", "x_re", "x_im", "boundary_distance", "ratio"])
     }
-    ctx.emit(files, [f"estimated_k {k!r}"])
-    return 0
+    return files, [f"estimated_k {k!r}"], {}
 
 
 COMMANDS = {
@@ -548,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--tol", type=float, default=None, help="override quadrature tolerance")
-    p.add_argument("--no-cache", action="store_true", help="force recomputation")
+    p.add_argument("--no-cache", action="store_true", help="accepted and ignored")
     p.add_argument("--svg", action="store_true", help="also emit SVG plots")
     return p
 
@@ -561,23 +547,16 @@ def main(argv=None) -> int:
     except (ConfigError, GeometryError, GalleryError, ContentError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    ctx = RunContext(
-        cfg=cfg, out=out, use_cache=not args.no_cache, svg=args.svg, command=args.command
-    )
-    out.mkdir(parents=True, exist_ok=True)
-    if ctx.try_cache():
-        return 0
+    ctx = RunContext(cfg=cfg, out=out, svg=args.svg, command=args.command)
     try:
-        return COMMANDS[args.command](ctx)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+        ctx.emit(*COMMANDS[args.command](ctx))
     except ToleranceError as e:
         print(f"numerical tolerance failure: {e}", file=sys.stderr)
         return 3
-    except (GeometryError, GalleryError, ContentError, CriterionError, ContourError) as e:
+    except (ConfigError, GeometryError, GalleryError, ContentError, CriterionError, ContourError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

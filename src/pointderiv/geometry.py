@@ -198,9 +198,6 @@ class ConeSpec:
         dphi = _angle_diff(cmath.phase(w), self.direction)
         return dphi <= self.half_angle if closed else dphi < self.half_angle
 
-    def axis_ray(self, length: float | None = None) -> Ray:
-        return Ray(self.vertex, self.direction, length or self.length)
-
 
 def _angle_diff(a: float, b: float) -> float:
     d = math.fmod(a - b, 2.0 * math.pi)

@@ -3,13 +3,15 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pointderiv import annulus_complement, conjugate_function, contour, experiments
-from pointderiv.cli import config_hash, load_config, main
+from pointderiv.cli import RunContext, cmd_limit, config_hash, load_config, main
 
 BASE_CONFIG = {
     "alpha": 0.5,
@@ -151,6 +153,9 @@ def test_n_max_zero_exit_2(tmp_path, capsys):
         ({"cone": 3}, "cone:"),
         ({"n_max": 600}, "n_max must be at most 510"),
         ({"n_max": 511}, "n_max must be at most 510"),
+        # load_config rejects these before any command runs
+        ({"gallery": {"preset": "auto", "count": 0}}, "gallery count must be at least 1"),
+        ({"gallery": {"preset": "auto", "count": -1}}, "gallery count must be at least 1"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, overrides, where):
@@ -227,29 +232,51 @@ def test_determinism_byte_identical_csv(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_cache_round_trip(tmp_path, capsys):
+def test_rerun_into_same_out_recomputes(tmp_path, capsys):
     p = write_config(tmp_path)
-    out = tmp_path / "cached"
+    out = tmp_path / "o"
     assert run("criterion", p, out) == 0
     first = (out / "criterion.csv").read_bytes()
     assert run("criterion", p, out) == 0
-    assert "cache hit" in capsys.readouterr().out
+    assert "cache hit" not in capsys.readouterr().out
     assert (out / "criterion.csv").read_bytes() == first
+    assert not (out / ".cache").exists()
 
 
-def test_svg_after_cached_run_writes_svg(tmp_path, capsys):
+def test_no_cache_is_accepted(tmp_path):
+    assert run("criterion", write_config(tmp_path), tmp_path / "o", "--no-cache") == 0
+
+
+def test_command_returns_what_main_writes(tmp_path, capsys):
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    files, lines, stats = cmd_limit(RunContext(load_config(p), out, svg=True, command="limit"))
+    assert not out.exists() and capsys.readouterr().out == ""
+    assert sorted(files) == ["limit.csv", "limit.svg"] and stats == {}
+    assert run("limit", p, out, "--svg") == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert sorted(q.name for q in out.iterdir()) == ["limit-manifest.json", *sorted(files)]
+    for name, data in files.items():
+        assert (out / name).read_text() == data
+
+
+def test_manifest_records_effective_settings(tmp_path):
+    p = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert run("criterion", p, out, "--tol", "1e-12") == 0
+    manifest = json.loads((out / "criterion-manifest.json").read_text())
+    assert manifest["quad_tol"] == 1e-12 and manifest["seed"] == 0
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+
+
+def test_svg_after_cached_run_writes_svg(tmp_path):
     p = write_config(tmp_path)
     out = tmp_path / "o"
     assert run("limit", p, out) == 0
     assert not (out / "limit.svg").exists()
     assert run("limit", p, out, "--svg") == 0
     assert (out / "limit.svg").read_text().startswith("<svg")
-    # the run with --svg is cached under its own key
-    capsys.readouterr()
-    (out / "limit.svg").unlink()
-    assert run("limit", p, out, "--svg") == 0
-    assert "cache hit" in capsys.readouterr().out
-    assert (out / "limit.svg").exists()
 
 
 def test_seed_override_changes_hash_dir(tmp_path):
@@ -448,28 +475,14 @@ def test_limit_checks_the_ray_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_manifest_after_cache_hit_describes_the_run(tmp_path, capsys):
+def test_manifest_describes_the_last_run(tmp_path):
     p = write_config(tmp_path)
     out = tmp_path / "o"
-    assert run("criterion", p, out) == 0
-    assert run("criterion", p, out, "--seed", "1") == 0
-    capsys.readouterr()
-    assert run("criterion", p, out) == 0
-    (hit,) = [line for line in capsys.readouterr().out.splitlines() if "cache hit" in line]
+    for extra in ([], ["--seed", "1"], []):
+        assert run("criterion", p, out, *extra) == 0
     manifest = json.loads((out / "criterion-manifest.json").read_text())
-    assert manifest["config_hash"] == hit.split()[-1]
     assert manifest["seed"] == 0
-
-
-def test_cache_without_manifest_is_a_miss(tmp_path, capsys):
-    p = write_config(tmp_path)
-    out = tmp_path / "o"
-    assert run("criterion", p, out) == 0
-    (cached,) = (out / ".cache").iterdir()
-    (cached / "criterion-manifest.json").unlink()
-    capsys.readouterr()
-    assert run("criterion", p, out) == 0
-    assert "cache hit" not in capsys.readouterr().out
+    assert manifest["config_hash"] == config_hash(json.loads(p.read_text()), 0, 1e-10)
 
 
 def test_lemma_check_manifest_counts_evaluations(tmp_path):
