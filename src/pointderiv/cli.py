@@ -45,7 +45,7 @@ from .geometry import (
     annulus_complement,
     validate_cone,
 )
-from .content import ContentError, disjoint_disk_content, greedy_cover_upper
+from .content import ContentError, annulus_content
 from .lipschitz import GalleryError, GalleryFunction, build_test_gallery, conjugate_function
 
 OUT_ENV_VAR = "POINTDERIV_OUT"
@@ -129,7 +129,9 @@ def _parse_gallery(spec, domain: SwissCheeseDomain) -> list[GalleryFunction]:
     if spec is None:
         spec = {"preset": "auto", "count": 6}
     if isinstance(spec, dict) and "preset" in spec:
-        count = int(spec.get("count", 6))
+        count = spec.get("count", 6)
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ConfigError(f"gallery count must be an integer, got {count!r}")
         if count < 1:
             raise ConfigError(f"gallery count must be at least 1, got {count}")
         return build_test_gallery(domain, count)
@@ -476,13 +478,7 @@ def cmd_content(ctx: RunContext) -> Outputs:
     rows = []
     for n in range(1, cfg.n_max + 1):
         pieces = annulus_complement(cfg.domain, n)
-        if not pieces:
-            rows.append([n, 0, 0.0, 0.0, "empty"])
-            continue
-        if all(p.is_whole for p in pieces):
-            est = disjoint_disk_content(pieces, cfg.alpha)
-        else:
-            est = greedy_cover_upper(pieces, cfg.alpha)
+        est = annulus_content(pieces, cfg.alpha)
         rows.append([n, len(pieces), est.upper, est.lower_heuristic, est.method])
     files = {
         "content.csv": _csv(

@@ -7,7 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .content import ContentEstimate, disjoint_disk_content, greedy_cover_upper
+from .content import annulus_content
 from .geometry import (
     Disk,
     GeometryError,
@@ -130,13 +130,7 @@ def lord_ofarrell_series(
     partial = []
     acc = 0.0
     for n in range(1, n_max + 1):
-        pieces = annulus_complement(domain, n)
-        if not pieces:
-            est = ContentEstimate(0.0, 0.0, "disjoint_sum")
-        elif all(p.is_whole for p in pieces):
-            est = disjoint_disk_content(pieces, alpha)
-        else:
-            est = greedy_cover_upper(pieces, alpha)
+        est = annulus_content(annulus_complement(domain, n), alpha)
         weighted = 4.0**n * est.upper
         acc += weighted
         terms.append((n, est.upper, weighted))

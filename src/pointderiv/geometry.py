@@ -5,6 +5,7 @@ All shapes are immutable; points are plain complex numbers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -313,13 +314,13 @@ class ClippedPiece:
 
     def boundary_samples(self, per_curve: int = 1024) -> np.ndarray:
         """Points on the boundary of the clipped region (complex array)."""
-        th = np.linspace(0.0, 2.0 * math.pi, per_curve, endpoint=False)
-        pts = [self.hole.center + self.hole.radius * np.exp(1j * th)]
+        unit = _unit_circle(per_curve)
+        pts = [self.hole.center + self.hole.radius * unit]
         if not self.is_whole:
             rr = np.abs(pts[0] - self.annulus_center)
             pts[0] = pts[0][(rr >= self.r_inner) & (rr <= self.r_outer)]
             for rad in (self.r_inner, self.r_outer):
-                circ = self.annulus_center + rad * np.exp(1j * th)
+                circ = self.annulus_center + rad * unit
                 inside = np.abs(circ - self.hole.center) <= self.hole.radius
                 pts.append(circ[inside])
         return np.concatenate(pts)
@@ -328,6 +329,14 @@ class ClippedPiece:
         if self.is_whole:
             return self.hole.diameter
         return _point_set_diameter(self.boundary_samples())
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_circle(per_curve: int) -> np.ndarray:
+    """exp(1j * th) at `per_curve` equally spaced angles th from 0, read-only."""
+    unit = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, per_curve, endpoint=False))
+    unit.setflags(write=False)
+    return unit
 
 
 # Rows per block.  With the ~600 boundary samples of a clipped piece, 32 rows
@@ -348,7 +357,8 @@ def _point_set_diameter(pts: np.ndarray) -> float:
     Before that pass, points that cannot end a farthest pair are dropped.
     With r_i the distance of point i from the centroid, R = max r_i and `lo`
     the largest distance from the point at R, a pair at distance >= lo has
-    r_i + r_j >= lo, so both ends have r + R >= lo.  The relative margin of
+    r_i + r_j >= lo, so both ends have r + R >= lo; the same holds for the
+    distances q_i from the midpoint of that far pair.  The relative margin of
     1e-9 covers rounding, so the farthest pair and its float value survive.
     """
     if len(pts) < 2:
@@ -358,8 +368,12 @@ def _point_set_diameter(pts: np.ndarray) -> float:
     r = np.sqrt(rx * rx + ry * ry)
     far = int(r.argmax())
     fx, fy = x - x[far], y - y[far]
-    lo = math.sqrt(float((fx * fx + fy * fy).max()))
-    keep = r + r[far] >= lo * (1.0 - 1e-9)
+    other = int((fx * fx + fy * fy).argmax())
+    lo = math.hypot(fx[other], fy[other])
+    mx, my = x - 0.5 * (x[far] + x[other]), y - 0.5 * (y[far] + y[other])
+    q = np.sqrt(mx * mx + my * my)
+    cut = lo * (1.0 - 1e-9)
+    keep = (r + r[far] >= cut) & (q + q.max() >= cut)
     x, y = x[keep], y[keep]
     best = 0.0
     for s in range(0, len(x), _DIAMETER_BLOCK):

@@ -156,6 +156,9 @@ def test_n_max_zero_exit_2(tmp_path, capsys):
         # load_config rejects these before any command runs
         ({"gallery": {"preset": "auto", "count": 0}}, "gallery count must be at least 1"),
         ({"gallery": {"preset": "auto", "count": -1}}, "gallery count must be at least 1"),
+        ({"gallery": {"preset": "auto", "count": 2.5}}, "gallery count must be an integer"),
+        ({"gallery": {"preset": "auto", "count": True}}, "gallery count must be an integer"),
+        ({"gallery": {"preset": "auto", "count": "3"}}, "gallery count must be an integer"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, overrides, where):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointderiv import (
     ClippedPiece,
@@ -17,7 +19,7 @@ from pointderiv import (
     validate_cone,
     verify_interior_cone,
 )
-from pointderiv.geometry import _point_set_diameter
+from pointderiv.geometry import _point_set_diameter, _unit_circle
 
 
 def test_disk_rejects_bad_radius():
@@ -343,6 +345,36 @@ def test_pruned_piece_diameter_equals_all_pairs():
             continue
         assert _point_set_diameter(pts) == _pairwise_diameter(pts)
         checked += 1
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    arcs=st.lists(
+        st.tuples(
+            st.complex_numbers(max_magnitude=2.0),
+            st.floats(1e-3, 1.0),
+            st.floats(0.0, 2.0 * math.pi),
+            st.floats(0.1, 2.0 * math.pi),
+            st.integers(2, 200),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_pruned_diameter_equals_all_pairs_on_arcs(arcs):
+    # unions of circular arcs, the shape of clipped-piece boundaries
+    pts = np.concatenate(
+        [c + r * np.exp(1j * np.linspace(a, a + span, m)) for c, r, a, span, m in arcs]
+    )
+    assert _point_set_diameter(pts) == _pairwise_diameter(pts)
+
+
+def test_unit_circle_is_memoised_and_read_only():
+    unit = _unit_circle(1024)
+    assert _unit_circle(1024) is unit
+    assert not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit[0] = 0.0
 
 
 def test_disk_contains_many_equals_contains():
