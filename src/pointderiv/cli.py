@@ -208,6 +208,8 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
                 length=float(r.get("length", 0.25)),
             )
             scales = int(r.get("scales", 20))
+        if scales < 0:
+            raise ConfigError(f"ray.scales must be at least 0, got {scales}")
     with _section("tolerances"):
         tols = raw.get("tolerances", {})
         quad_tol = float(tols.get("quad_tol", 1e-10))
@@ -281,13 +283,10 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
-    def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
+    """CSV text of rows of ints, floats and strings; `str` of a float is its
+    shortest round-tripping `repr`."""
     lines = [",".join(header)]
-    lines += [",".join(fmt(v) for v in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

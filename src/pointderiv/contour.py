@@ -255,9 +255,17 @@ def _panel_sums(nodes, integrand) -> np.ndarray:
 
 # Columns of the panel state in `_integrate_many`, one row per panel: its
 # primitive, [lo, hi] with its midpoint, tolerance, own id, parent's id (-1
-# for a whole primitive) and depth.  Each is a small integer or a dyadic
-# rational, so float64 holds it exactly.
-_IDX, _LO, _MID, _HI, _TOL, _ID, _PARENT, _DEPTH = range(8)
+# for a whole primitive), depth and heap index (1 for a whole primitive, 2h
+# and 2h + 1 for the halves of panel h).  Each is a small integer or a
+# dyadic rational, so float64 holds it exactly.
+_IDX, _LO, _MID, _HI, _TOL, _ID, _PARENT, _DEPTH, _HEAP = range(9)
+
+# The halves of every panel shallower than this depth have their nodes kept
+# in the bank of their plan.  The decomposition grid of the benchmark
+# (M = 1, N = 10) refines no deeper.
+_BANK_DEPTH = 4
+# bank rows per primitive: panels 2 .. 2^D - 1 in heap order, depths 1 .. D-1
+_BANK_ROWS = 2**_BANK_DEPTH - 2
 
 
 @dataclass(frozen=True)
@@ -270,6 +278,10 @@ class _Plan:
     state: np.ndarray  # level-0 panel state, a whole primitive each; tolerances 0
     nodes: tuple  # `_panel_nodes` of each primitive's coarse, left and right panel
     evaluations: np.ndarray  # integrand points of level 0, per path
+    # `_panel_nodes` of the halves of panel h of primitive i in row
+    # i * _BANK_ROWS + h - 2, filled on first use: (z, velocities,
+    # half-widths, filled)
+    bank: tuple
 
 
 @functools.lru_cache(maxsize=64)
@@ -290,16 +302,42 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
         shares += [p.length / total_len if total_len > 0 else 1.0 / len(segs) for p in segs]
     n = len(prims)
     table = _primitive_table(prims)
-    state = np.zeros((n, 8))
+    state = np.zeros((n, 9))
     state[:, _IDX] = state[:, _ID] = np.arange(n)
-    state[:, _MID], state[:, _HI], state[:, _PARENT] = 0.5, 1.0, -1.0
+    state[:, _MID], state[:, _HI], state[:, _PARENT], state[:, _HEAP] = 0.5, 1.0, -1.0, 1.0
     lo, mid, hi = state[:, _LO], state[:, _MID], state[:, _HI]
     nodes = _panel_nodes(table, np.arange(n), np.stack([lo, lo, mid], -1), np.stack([hi, mid, hi], -1))
     path_of, shares = np.array(path_of), np.array(shares)
     evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
     for a in (path_of, shares, *table, state, *nodes, evaluations):
         a.flags.writeable = False
-    return _Plan(path_of, shares, table, state, nodes, evaluations)
+    # zeroed pages cost no memory until a row on them is filled
+    rows = n * _BANK_ROWS
+    bank = (
+        np.zeros((rows, 2, len(_GL_NODES)), complex),
+        np.zeros((rows, 2, len(_GL_NODES)), complex),
+        np.zeros((rows, 2)),
+        np.zeros(rows, bool),
+    )
+    return _Plan(path_of, shares, table, state, nodes, evaluations, bank)
+
+
+def _banked_nodes(plan: _Plan, state: np.ndarray, idx: np.ndarray) -> tuple:
+    """`_panel_nodes` of the halves of the panels `state` on the primitives
+    `idx`, read from the plan's bank; each panel is shallower than
+    `_BANK_DEPTH` and below the root.  A row is computed by `_panel_nodes` on
+    its first use, and elementwise arithmetic gives it the bits of any
+    other call."""
+    z, vel, half, filled = plan.bank
+    row = idx * _BANK_ROWS + state[:, _HEAP].astype(np.intp) - 2
+    new = ~filled[row]
+    if new.any():
+        r = row[new]
+        z[r], vel[r], half[r] = _panel_nodes(
+            plan.table, idx[new], state[new, _LO : _MID + 1], state[new, _MID : _HI + 1]
+        )
+        filled[r] = True
+    return z[row], vel[row], half[row]
 
 
 def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> QuadratureResult:
@@ -323,7 +361,7 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
     return _integrate_many([path], integrand, tol)[0]
 
 
-def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
+def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None) -> list[QuadratureResult]:
     """`integrate_contour(path, integrand, tol)` for each path, in one loop.
 
     Each refinement level sends the active panels of every path to
@@ -333,11 +371,13 @@ def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
     bitwise the one of a call for its path alone.  If several paths fail,
     the `ToleranceError` is that of the first of them in `paths`, as in a
     loop of single calls.  What depends only on the paths, up to the nodes
-    of level 0, comes from their memoised `_plan`.
+    of level 0 and the bank of shallow panel nodes, comes from their
+    memoised `_plan`, which a caller that holds it passes as `plan`.
     """
     if tol <= 0:
         raise ContourError("tolerance must be positive")
-    plan = _plan(tuple(paths))
+    if plan is None:
+        plan = _plan(tuple(paths))
     path_of = plan.path_of
     n = len(path_of)
     state = plan.state.copy()
@@ -348,14 +388,15 @@ def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
     states, fines, errs = [], [], []
     failures = {}  # path -> its leftmost failing panel so far
     next_id = n
+    level = 0  # no panel of a level is deeper than the level
     while True:
         fine = halves[:, 0] + halves[:, 1]
         diff = fine - coarse
         err = np.hypot(diff.real, diff.imag)
         done = (err <= state[:, _TOL]) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag)))
         split = ~done
-        failed = np.flatnonzero(split & (state[:, _DEPTH] >= _MAX_DEPTH))
-        if failed.size:
+        failed = np.flatnonzero(split & (state[:, _DEPTH] >= _MAX_DEPTH)) if level >= _MAX_DEPTH else ()
+        if len(failed):
             # a depth-first search of a path raises at its first failing panel
             # before it reaches any panel further right, so those are dropped
             pid = path_of[state[:, _IDX].astype(np.intp)]
@@ -379,6 +420,8 @@ def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
         kids[:, _PARENT] = kids[:, _ID]
         kids[:, _ID] = np.arange(next_id, next_id + len(kids))
         kids[:, _DEPTH] += 1.0
+        kids[:, _HEAP] *= 2.0
+        kids[1::2, _HEAP] += 1.0
         next_id += len(kids)
         state, coarse = kids, halves[split].ravel()
         if len(rest):
@@ -395,8 +438,13 @@ def _integrate_many(paths, integrand, tol: float) -> list[QuadratureResult]:
             rest, rest_coarse = state[~take], coarse[~take]
             state, coarse = state[take], coarse[take]
         # the halves [lo, mid] and [mid, hi] of every panel
-        lo, hi = state[:, _LO : _MID + 1], state[:, _MID : _HI + 1]
-        halves = _panel_sums(_panel_nodes(plan.table, state[:, _IDX].astype(np.intp), lo, hi), integrand)
+        level += 1
+        idx = state[:, _IDX].astype(np.intp)
+        if level < _BANK_DEPTH:
+            nodes = _banked_nodes(plan, state, idx)
+        else:
+            nodes = _panel_nodes(plan.table, idx, state[:, _LO : _MID + 1], state[:, _MID : _HI + 1])
+        halves = _panel_sums(nodes, integrand)
     if failures:
         a, b, t, best, err = failures[min(failures)]
         raise ToleranceError(
@@ -495,6 +543,17 @@ def full_circle(center: complex, radius: float) -> ContourPath:
     return ContourPath((half1, half2), closed=True, check_simple=False)
 
 
+@functools.lru_cache(maxsize=64)
+def _decomposition_contours(cone: ConeSpec, M: int, N: int) -> tuple[tuple[ContourPath, ...], _Plan]:
+    """The paths of `annular_decomposition`, each D_n boundary clockwise for
+    M <= n <= N (none if N == M) and then the circle of radius 2^-M, with
+    their plan: one lookup per decomposition instead of one per path."""
+    annuli = [] if N == M else range(M, N + 1)
+    paths = tuple(_clockwise_annular_piece(n, cone) for n in annuli)
+    paths += (full_circle(cone.vertex, 2.0**-M),)
+    return paths, _plan(paths)
+
+
 # ---------------------------------------------------------------------------
 # Cauchy quotient and decomposition
 
@@ -506,6 +565,32 @@ def _check_x_admissible(x: complex, cone: ConeSpec, N: int, M: int):
         raise ContourError(f"|x - vertex| = {r} is not inside (2^-{N}, 2^-{M})")
     if not cone.contains(x, closed=False):
         raise ContourError(f"x = {x} does not lie inside the cone")
+
+
+def _check_poles_off_contours(f: GalleryFunction, cone: ConeSpec, M: int, N: int):
+    """Raise ContourError if a pole of f lies on a contour of the annular
+    decomposition: a circle |z - x0| = 2^-n with M <= n <= N + 1, or a cone
+    edge between the radii 2^-N-1 and 2^-M (the circle 2^-M alone if
+    N == M).  Its integral diverges, and the adaptive rule would refine a
+    band of panels to depth 48 before failing.  "On" allows a relative
+    1e-12 for rounding.  A Cauchy-transform disk may meet a contour: f stays
+    continuous, with a kink the quadrature refines around, and the D_n
+    boundary terms still add up to the quotient.
+    """
+    eps = 1e-12
+    inner = M if N == M else N + 1
+    for p, _ in f.rational_terms:
+        w = p - cone.vertex
+        r = abs(w)
+        n = round(-math.log2(r))
+        if M <= n <= inner and abs(r * 2.0**n - 1.0) <= eps:
+            raise ContourError(f"pole {p} of f lies on the contour |z - x0| = 2^-{n}")
+        if not 2.0**-inner < r < 2.0**-M:
+            continue  # the edges' ends lie on the circles
+        for a in (cone.direction - cone.half_angle, cone.direction + cone.half_angle):
+            u = w * cmath.exp(-1j * a)
+            if u.real > 0 and abs(u.imag) <= eps * r:
+                raise ContourError(f"pole {p} of f lies on the cone edge at angle {a}")
 
 
 def default_inner_index(x: complex, cone: ConeSpec, minimum: int = 2) -> int:
@@ -593,14 +678,15 @@ def annular_decomposition(
             raise ContourError(f"x = {x} must lie inside the cone and |z| < 2^-{M}")
     else:
         _check_x_admissible(x, cone, N, M)
+    _check_poles_off_contours(f, cone, M, N)
 
     def integrand(z):
         return f(z) / ((z - v) * (z - x))
 
     annuli = [] if N == M else list(range(M, N + 1))
     term_tol = tol / (len(annuli) + 1)
-    paths = [_clockwise_annular_piece(n, cone) for n in annuli] + [full_circle(v, 2.0**-M)]
-    results = _integrate_many(paths, integrand, term_tol)
+    paths, plan = _decomposition_contours(cone, M, N)
+    results = _integrate_many(paths, integrand, term_tol, plan)
     terms = [(n, res.value / (2j * math.pi)) for n, res in zip(annuli, results)]
     circle_term = results[-1].value / (2j * math.pi)
     lhs = f(x) / (x - v)

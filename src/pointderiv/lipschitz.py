@@ -24,11 +24,15 @@ def disk_cauchy_transform(disk: Disk, z):
     """Cauchy transform of the area measure of a disk.
 
     Equals pi r^2 / (c - z) outside the disk and -pi * conj(z - c) inside;
-    the two formulas agree on the boundary circle.
+    the two formulas agree on the boundary circle.  Returns an array, 0-d
+    for a scalar z.
     """
     z = np.asarray(z, dtype=complex)
     c, r = disk.center, disk.radius
     outside = np.abs(z - c) > r
+    if outside.all():
+        # the array loop, not numpy's scalar arithmetic, divides a 0-d z too
+        return np.divide(math.pi * r * r, c - z, out=np.empty_like(z))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(
             outside,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pointderiv import annulus_complement, conjugate_function, contour, experiments
-from pointderiv.cli import RunContext, cmd_limit, config_hash, load_config, main
+from pointderiv.cli import RunContext, _csv, cmd_limit, config_hash, load_config, main
 
 BASE_CONFIG = {
     "alpha": 0.5,
@@ -501,3 +501,51 @@ def test_lemma_check_manifest_counts_evaluations(tmp_path):
     assert manifest["evaluations"] == sum(r.evaluations for r in results)
     assert manifest["err_to_tol"] == max(r.error_estimate for r in results) / 1e-10
     assert 0.0 <= manifest["err_to_tol"] <= 1.0
+
+
+@pytest.mark.parametrize("command", ["limit", "sweep"])
+def test_negative_scales_exit_2(tmp_path, capsys, command):
+    p = tmp_path / "readme.json"
+    p.write_text(json.dumps(dict(README_CONFIG, ray=dict(README_CONFIG["ray"], scales=-1))))
+    assert run(command, p, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "ray.scales" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_csv_cells_are_str_of_each_value():
+    rows = [[1, 1e-17, 1e16, 0.1 + 0.2, -0.0, ""], [-3, 5e-324, 0.0, 1.0, "x", 2**60]]
+    assert _csv(rows, list("abcdef")) == (
+        "a,b,c,d,e,f\n"
+        "1,1e-17,1e+16,0.30000000000000004,-0.0,\n"
+        "-3,5e-324,0.0,1.0,x,1152921504606846976\n"
+    )
+
+
+def test_pole_on_decomposition_contour_exits_2_fast(tmp_path):
+    # the pole of gallery[0] lies on the circle |z| = 2^-2 that the D_1 and
+    # D_2 boundaries run along; the quadrature used to refine it for minutes
+    cfg = dict(
+        README_CONFIG,
+        domain={"holes": [{"center": [0.25, 0], "radius": 0.075}]},
+        gallery=[{"rational": [{"pole": [0.25, 0], "weight": 1}]}],
+    )
+    p = tmp_path / "d10.json"
+    p.write_text(json.dumps(cfg))
+    code = (
+        "from pointderiv.cli import main\n"
+        f"raise SystemExit(main(['decompose', '--config', {str(p)!r}, '--out', {str(tmp_path / 'o')!r}]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # a cold run takes about 0.4 s; a hang fails at the timeout
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=10,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "lies on the contour" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -394,6 +394,7 @@ def test_plan_reuse_leaves_results_unchanged(gallery):
     fresh = []
     for f, x in cases:
         contour._plan.cache_clear()
+        contour._decomposition_contours.cache_clear()
         fresh.append(annular_decomposition(f, x, CONE, M=1, N=10))
     assert [_report_bits(r) for r in hits] == [_report_bits(r) for r in fresh]
 
@@ -404,6 +405,138 @@ def test_plan_arrays_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+def test_decomposition_contours_looked_up_once_per_call(monkeypatch):
+    # one memoised (cone, M, N) lookup gives the paths and their plan
+    paths, plan = contour._decomposition_contours(CONE, 1, 10)
+    assert list(paths) == _decomposition_paths() and plan is contour._plan(paths)
+    assert contour._decomposition_contours(CONE, 1, 10)[1] is plan
+    calls = []
+    monkeypatch.setattr(contour, "_plan", lambda paths: calls.append(paths))
+    annular_decomposition(GalleryFunction(poly_coeffs=(0, 0, 1)), -0.1, CONE, M=1, N=10)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The bank of shallow panel nodes
+
+
+def _spy_levels(monkeypatch):
+    """Record the depths of the panels whose halves each level evaluates:
+    [(from the bank?, depths)]."""
+    levels, in_bank = [], []
+    banked, nodes = contour._banked_nodes, contour._panel_nodes
+
+    def spy_bank(plan, state, idx):
+        levels.append((True, state[:, contour._DEPTH].tolist()))
+        in_bank.append(True)
+        try:
+            return banked(plan, state, idx)
+        finally:
+            in_bank.pop()
+
+    def spy_nodes(table, idx, lo, hi):
+        if lo.shape[-1] == 2 and not in_bank:  # a level of the loop, not level 0
+            depths = np.round(-np.log2(lo[:, 1] - lo[:, 0])).astype(int) - 1
+            levels.append((False, depths.tolist()))
+        return nodes(table, idx, lo, hi)
+
+    monkeypatch.setattr(contour, "_banked_nodes", spy_bank)
+    monkeypatch.setattr(contour, "_panel_nodes", spy_nodes)
+    return levels
+
+
+def _check_levels(levels, mixed=True):
+    # some level mixes depths, and some refinement goes deeper than the bank
+    assert any(len(set(depths)) > 1 for _, depths in levels) == mixed
+    assert max(max(depths) for _, depths in levels) >= contour._BANK_DEPTH
+    assert all(max(depths) < contour._BANK_DEPTH for banked, depths in levels if banked)
+
+
+def _panel_of_row(row):
+    """(primitive, lo, hi) of the panel whose halves bank row `row` holds."""
+    i, h = divmod(row, contour._BANK_ROWS)
+    h += 2
+    d = h.bit_length() - 1
+    return i, (h - 2**d) / 2**d, (h - 2**d + 1) / 2**d
+
+
+def _bank_bits(nodes):
+    return [a.tobytes() for a in nodes]
+
+
+BANK_PLANS = {
+    "decomposition": lambda: tuple(_decomposition_paths()),
+    "keyhole": lambda: (build_keyhole(CONE, N=10, M=1),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BANK_PLANS))
+def test_bank_rows_are_panel_nodes(name, monkeypatch):
+    monkeypatch.setattr(contour, "_BATCH", 2)
+    paths = BANK_PLANS[name]()
+    plan = contour._plan.__wrapped__(paths)  # built afresh, with an empty bank
+    z, vel, half, filled = plan.bank
+    assert not filled.any()
+    levels = _spy_levels(monkeypatch)
+
+    def integrand(z):
+        # poles just off the circles 2^-2 and 2^-1 and the small circle 2^-10
+        return 1.0 / (z - 0.26) + 1.0 / (z + 0.52) + 1.0 / (z - 0.00101)
+
+    contour._integrate_many(paths, integrand, 1e-10, plan)
+    # one path at batch 2 refines one pair of halves a level, so only the
+    # decomposition's levels mix depths; the call for all rows below does
+    _check_levels(levels, mixed=len(paths) > 1)
+    assert 0 < filled.sum() < len(filled)
+    # the level loop's rows, and the rest filled by one call for all panels
+    rows = np.arange(len(filled))
+    panels = [_panel_of_row(int(r)) for r in rows]
+    state = np.zeros((len(rows), len(plan.state[0])))
+    idx = np.array([i for i, _, _ in panels])
+    state[:, contour._IDX] = idx
+    state[:, contour._LO], state[:, contour._HI] = [lo for _, lo, _ in panels], [hi for *_, hi in panels]
+    state[:, contour._MID] = 0.5 * (state[:, contour._LO] + state[:, contour._HI])
+    state[:, contour._HEAP] = rows % contour._BANK_ROWS + 2
+    got = contour._banked_nodes(plan, state, idx)
+    assert filled.all()
+    for r, (i, lo, hi) in zip(rows, panels):
+        mid = 0.5 * (lo + hi)
+        want = contour._panel_nodes(plan.table, np.array([i]), np.array([[lo, mid]]), np.array([[mid, hi]]))
+        assert _bank_bits((z[r], vel[r], half[r])) == _bank_bits(a[0] for a in want)
+        assert _bank_bits(a[r] for a in got) == _bank_bits(a[0] for a in want)
+
+
+@pytest.mark.parametrize("batch", [contour._BATCH, 2])
+def test_decomposition_bits_without_bank(batch, gallery, monkeypatch):
+    monkeypatch.setattr(contour, "_BATCH", batch)
+    # a pole just outside the circle 2^-2 refines past the bank's depth
+    near = GalleryFunction(rational_terms=((0.26, 0.01),))
+    cases = [
+        (f, x)
+        for f in (gallery[1], gallery[8], gallery[15], gallery[19], near)
+        for x in (-0.3, -0.1, -0.02, -0.006)
+    ]
+    levels = _spy_levels(monkeypatch)
+    banked = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)) for f, x in cases]
+    if batch == 2:
+        _check_levels(levels)
+    monkeypatch.setattr(contour, "_BANK_DEPTH", 0)  # every level computes its nodes
+    levels.clear()
+    bypassed = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)) for f, x in cases]
+    assert levels and not any(b for b, _ in levels)
+    assert bypassed == banked
+
+
+def test_decomposition_bank_memory_bound():
+    # the bank is allocated zeroed and filled a row at a time, so its
+    # allocated bytes bound what of it can become resident
+    _, plan = contour._decomposition_contours(CONE, 1, 10)
+    assert sum(a.nbytes for a in plan.bank) <= 0.65e6
+    fresh = contour._plan.__wrapped__(tuple(_decomposition_paths()))
+    contour._integrate_many(_decomposition_paths(), lambda z: 0.0 * z, 1e-10, fresh)
+    assert not fresh.bank[3].any()  # no panel was refined, no row filled
 
 
 def test_full_circle_memoised_and_equal_paths_share_results():
@@ -546,6 +679,43 @@ def test_decomposition_term_decay(domain):
     rep = annular_decomposition(f, -0.1, CONE, M=1, N=10, tol=1e-10)
     mags = {n: abs(t) for n, t in rep.annular_terms}
     assert mags[10] < mags[5] < mags[3]
+
+
+EDGE = cmath.exp(1j * (CONE.direction + CONE.half_angle))
+
+
+@pytest.mark.parametrize(
+    "pole, M, N",
+    [
+        (0.25, 1, 10),  # the circle 2^-2 that D_1 and D_2 share
+        (2.0**-11 * 1j, 1, 10),  # the keyhole's inner circle 2^-(N+1)
+        (0.5, 1, 1),  # the only contour of a degenerate split
+        (0.1 * EDGE, 1, 10),  # a cone edge
+        (0.25 * (1 + 1e-13), 1, 10),  # within rounding of a circle
+    ],
+)
+def test_decomposition_rejects_pole_on_contour(pole, M, N, monkeypatch):
+    # without the check, a shallow depth limit fails in well under a second
+    monkeypatch.setattr(contour, "_MAX_DEPTH", 12)
+    f = GalleryFunction(rational_terms=((pole, 1.0),))
+    with pytest.raises(ContourError, match="lies on"):
+        annular_decomposition(f, -0.02 if N > 1 else -0.3, CONE, M=M, N=N)
+
+
+def test_decomposition_accepts_poles_off_its_contours():
+    # a circle outside M..N+1, an edge's line beyond its radii, and a pole
+    # a relative 1e-3 off a circle
+    for pole, M, N in ((0.5, 2, 8), (0.3 * EDGE, 2, 8), (0.25 * (1 + 1e-3), 1, 10)):
+        f = GalleryFunction(rational_terms=((pole, 1e-3),))
+        assert annular_decomposition(f, -0.1, CONE, M=M, N=N).residual <= 2e-10
+
+
+def test_decomposition_ct_disk_across_contour():
+    # a Cauchy-transform disk astride the circle 2^-2: f is continuous there
+    # with a kink, and the terms still add up to the quotient
+    f = GalleryFunction(ct_terms=((Disk(0.25, 0.075), 1.0),))
+    rep = annular_decomposition(f, -0.1, CONE, M=1, N=10)
+    assert rep.residual <= 2e-10
 
 
 def test_cone_kernel_inequality():

@@ -45,6 +45,31 @@ def test_ct_continuous_across_boundary():
         assert abs(mid - inside) < 1e-9
 
 
+def _ct_two_branches(disk, z):
+    """Both formulas through `np.where`, without the exterior fast path."""
+    z = np.asarray(z, dtype=complex)
+    c, r = disk.center, disk.radius
+    outside = np.abs(z - c) > r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            outside, math.pi * r * r / np.where(outside, c - z, 1.0), -math.pi * np.conj(z - c)
+        )
+
+
+def test_ct_bits_inside_on_and_outside():
+    c, r = CT_DISK.center, CT_DISK.radius
+    inside, on, outside = [c + 0.3 * r, c], [c + r, c - 1j * r], [0.0, 0.1 + 0.7j, 2.0 - 1j]
+    for zs in (inside + on + outside, outside, on, outside[1:2]):
+        got = disk_cauchy_transform(CT_DISK, zs)
+        assert type(got) is np.ndarray and got.shape == (len(zs),)
+        assert got.tobytes() == _ct_two_branches(CT_DISK, zs).tobytes()
+    for z in inside + on + outside:
+        got = disk_cauchy_transform(CT_DISK, z)
+        # a 0-d array: numpy's scalar arithmetic would round the callers' sums otherwise
+        assert type(got) is np.ndarray and got.shape == ()
+        assert got.tobytes() == _ct_two_branches(CT_DISK, z).tobytes()
+
+
 def test_gallery_vanishes_at_base_point():
     f = GalleryFunction(ct_terms=((CT_DISK, 1.0),), poly_coeffs=(3, 1))
     assert f(0j) == 0j
