@@ -311,7 +311,7 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
     evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
     for a in (path_of, shares, *table, state, *nodes, evaluations):
         a.flags.writeable = False
-    # zeroed pages cost no memory until a row on them is filled
+    # the zeroed pages of rows never used need not become resident
     rows = n * _BANK_ROWS
     bank = (
         np.zeros((rows, 2, len(_GL_NODES)), complex),
