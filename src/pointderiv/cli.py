@@ -12,7 +12,6 @@ import argparse
 import cmath
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
@@ -257,7 +256,10 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
 def config_hash(raw: dict, seed: int, quad_tol: float | None = None) -> str:
     """Identifies a run in its manifest: a hash of the raw config, the
     effective seed and quadrature tolerance (after `--seed` and `--tol`) and
-    the tool version."""
+    the tool version.  `hashlib` loads OpenSSL, a few MB resident, so it is
+    imported by the first hash, not with the module."""
+    import hashlib
+
     canon = json.dumps(
         {"config": raw, "seed": seed, "quad_tol": quad_tol, "version": __version__},
         sort_keys=True,
@@ -529,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--tol", type=float, default=None, help="override quadrature tolerance")
-    p.add_argument("--no-cache", action="store_true", help="accepted and ignored")
     p.add_argument("--svg", action="store_true", help="also emit SVG plots")
     return p
 

@@ -16,7 +16,7 @@ SQRT2 = math.sqrt(2.0)
 
 #: heuristic constant relating a disjoint union's covering sum to a guessed
 #: lower value; pragmatic, flagged in every report.
-C_LOW_DEFAULT = 0.25
+C_LOW = 0.25
 
 PIXEL_BUDGET_DEFAULT = 2**22
 
@@ -47,13 +47,11 @@ def _pieces_disjoint(pieces: list[ClippedPiece]) -> bool:
     return True
 
 
-def disjoint_disk_content(
-    pieces: list[ClippedPiece], alpha: float, c_low: float = C_LOW_DEFAULT
-) -> ContentEstimate:
+def disjoint_disk_content(pieces: list[ClippedPiece], alpha: float) -> ContentEstimate:
     """Covering sum sum diam^(1+alpha) over pairwise disjoint pieces.
 
     The upper value covers each piece by a single ball of the same diameter.
-    The lower value is the heuristic c_low times the upper value; it is not a
+    The lower value is the heuristic C_LOW times the upper value; it is not a
     certified lower bound on the lower content.
     """
     if not (0.0 < alpha < 1.0):
@@ -61,7 +59,7 @@ def disjoint_disk_content(
     if not _pieces_disjoint(pieces):
         raise ContentError("pieces overlap; disjoint_disk_content requires disjointness")
     upper = float(sum(p.diameter() ** (1.0 + alpha) for p in pieces))
-    return ContentEstimate(upper=upper, lower_heuristic=c_low * upper, method="disjoint_sum")
+    return ContentEstimate(upper=upper, lower_heuristic=C_LOW * upper, method="disjoint_sum")
 
 
 def _ring_mask(xs: np.ndarray, ys: np.ndarray, c: complex, lo: float, hi: float) -> np.ndarray:

@@ -186,11 +186,10 @@ class ContourPath:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_DEPTH = 48
-# Most panels refined per integrand call.  The package's integrals stay far
-# below it, so each of their refinement levels is one call.  Beyond it the
-# leftmost panels go first, as in a depth-first search; that bounds the work
-# and memory an integral spends before it fails at _MAX_DEPTH.
-_BATCH = 256
+# Most panels a path refines beyond level 0, each at 2 * 15 integrand points.
+# The package's integrals refine a few thousand at most; a path that would
+# refine more fails, which bounds the time and memory a failing one spends.
+_MAX_PANELS = 2**15
 
 
 @dataclass(frozen=True)
@@ -241,6 +240,14 @@ def _panel_nodes(table, idx, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return z, vel, half
 
 
+def _level_nodes(table, idx, k, level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_panel_nodes` of the halves of the panels [k, k + 1] 2^-level on the
+    primitives `idx`; every bound is a dyadic rational, exact in float64."""
+    w = 2.0**-level
+    lo, mid, hi = k * w, (k + 0.5) * w, (k + 1) * w
+    return _panel_nodes(table, idx, np.stack([lo, mid], -1), np.stack([mid, hi], -1))
+
+
 def _panel_sums(nodes, integrand) -> np.ndarray:
     """15-point Gauss-Legendre sums over the panels of `_panel_nodes`, from
     one `integrand` call.
@@ -253,18 +260,11 @@ def _panel_sums(nodes, integrand) -> np.ndarray:
     return half * np.sum(vals.reshape(z.shape) * _GL_WEIGHTS, axis=-1)
 
 
-# Columns of the panel state in `_integrate_many`, one row per panel: its
-# primitive, [lo, hi] with its midpoint, tolerance, own id, parent's id (-1
-# for a whole primitive), depth and heap index (1 for a whole primitive, 2h
-# and 2h + 1 for the halves of panel h).  Each is a small integer or a
-# dyadic rational, so float64 holds it exactly.
-_IDX, _LO, _MID, _HI, _TOL, _ID, _PARENT, _DEPTH, _HEAP = range(9)
-
-# The halves of every panel shallower than this depth have their nodes kept
-# in the bank of their plan.  The decomposition grid of the benchmark
+# The halves of the panels of every level below this one have their nodes
+# kept in the bank of their plan.  The decomposition grid of the benchmark
 # (M = 1, N = 10) refines no deeper.
 _BANK_DEPTH = 4
-# bank rows per primitive: panels 2 .. 2^D - 1 in heap order, depths 1 .. D-1
+# bank rows per primitive: the 2^L panels of each level L = 1 .. D - 1
 _BANK_ROWS = 2**_BANK_DEPTH - 2
 
 
@@ -275,11 +275,10 @@ class _Plan:
     path_of: np.ndarray  # each primitive's path
     shares: np.ndarray  # each primitive's share of its path's tolerance
     table: tuple  # `_primitive_table` of the primitives
-    state: np.ndarray  # level-0 panel state, a whole primitive each; tolerances 0
     nodes: tuple  # `_panel_nodes` of each primitive's coarse, left and right panel
     evaluations: np.ndarray  # integrand points of level 0, per path
-    # `_panel_nodes` of the halves of panel h of primitive i in row
-    # i * _BANK_ROWS + h - 2, filled on first use: (z, velocities,
+    # `_level_nodes` of panel k of level L on primitive i in row
+    # i * _BANK_ROWS + 2^L - 2 + k, filled on first use: (z, velocities,
     # half-widths, filled)
     bank: tuple
 
@@ -302,14 +301,10 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
         shares += [p.length / total_len if total_len > 0 else 1.0 / len(segs) for p in segs]
     n = len(prims)
     table = _primitive_table(prims)
-    state = np.zeros((n, 9))
-    state[:, _IDX] = state[:, _ID] = np.arange(n)
-    state[:, _MID], state[:, _HI], state[:, _PARENT], state[:, _HEAP] = 0.5, 1.0, -1.0, 1.0
-    lo, mid, hi = state[:, _LO], state[:, _MID], state[:, _HI]
-    nodes = _panel_nodes(table, np.arange(n), np.stack([lo, lo, mid], -1), np.stack([hi, mid, hi], -1))
+    nodes = _panel_nodes(table, np.arange(n), np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.5, 1.0]))
     path_of, shares = np.array(path_of), np.array(shares)
     evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
-    for a in (path_of, shares, *table, state, *nodes, evaluations):
+    for a in (path_of, shares, *table, *nodes, evaluations):
         a.flags.writeable = False
     # the zeroed pages of rows never used need not become resident
     rows = n * _BANK_ROWS
@@ -319,23 +314,20 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
         np.zeros((rows, 2)),
         np.zeros(rows, bool),
     )
-    return _Plan(path_of, shares, table, state, nodes, evaluations, bank)
+    return _Plan(path_of, shares, table, nodes, evaluations, bank)
 
 
-def _banked_nodes(plan: _Plan, state: np.ndarray, idx: np.ndarray) -> tuple:
-    """`_panel_nodes` of the halves of the panels `state` on the primitives
-    `idx`, read from the plan's bank; each panel is shallower than
-    `_BANK_DEPTH` and below the root.  A row is computed by `_panel_nodes` on
-    its first use, and elementwise arithmetic gives it the bits of any
-    other call."""
+def _banked_nodes(plan: _Plan, idx: np.ndarray, k: np.ndarray, level: int) -> tuple:
+    """`_level_nodes` of the panels k of `level` on the primitives `idx`,
+    read from the plan's bank; 0 < level < `_BANK_DEPTH`.  A row is
+    computed by `_level_nodes` on its first use, and elementwise arithmetic
+    gives it the bits of any other call."""
     z, vel, half, filled = plan.bank
-    row = idx * _BANK_ROWS + state[:, _HEAP].astype(np.intp) - 2
+    row = idx * _BANK_ROWS + (2**level - 2) + k
     new = ~filled[row]
     if new.any():
         r = row[new]
-        z[r], vel[r], half[r] = _panel_nodes(
-            plan.table, idx[new], state[new, _LO : _MID + 1], state[new, _MID : _HI + 1]
-        )
+        z[r], vel[r], half[r] = _level_nodes(plan.table, idx[new], k[new], level)
         filled[r] = True
     return z[row], vel[row], half[row]
 
@@ -349,14 +341,19 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
     with the sum over its two halves (fine).  It accepts fine when
     |fine - coarse| <= its tolerance or <= 1e-16 (1 + |fine|); otherwise it
     splits into its halves, each with half its tolerance, and the coarse sum
-    of a half is the parent's sum over it.  A panel at depth 48 that still
-    fails raises `ToleranceError`, the first such panel in path order.
-    Refinement is level synchronous: the active panels of all primitives,
-    up to `_BATCH` of them, are evaluated in one `integrand` call per level.
-    Accepted values and error estimates are added bottom-up, left half plus
-    right half, then primitive by primitive in path order, so every result
-    equals that of the depth-first recursion bit for bit.  `evaluations`
-    counts integrand points.
+    of a half is the parent's sum over it.  Refinement goes one depth per
+    level, with all panels of the level in one `integrand` call.  Accepted
+    values and error estimates are added bottom-up, left half plus right
+    half, then primitive by primitive in path order, so every result equals
+    that of the depth-first recursion bit for bit.  `evaluations` counts
+    integrand points.
+
+    The integral fails with `ToleranceError` at the first level where some
+    panel still splits and either the level is 48 or the path's panels
+    beyond level 0 would outnumber `_MAX_PANELS` (2^15 panels of 30 points
+    each); the error names the leftmost splitting panel of that level.  A
+    path that reaches level 48 within its budget fails on the panel the
+    depth-first recursion fails on.
     """
     return _integrate_many([path], integrand, tol)[0]
 
@@ -364,113 +361,81 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
 def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None) -> list[QuadratureResult]:
     """`integrate_contour(path, integrand, tol)` for each path, in one loop.
 
-    Each refinement level sends the active panels of every path to
-    `integrand` in one call.  A path keeps its own tolerance shares,
-    tree-order sums, `_BATCH` cap (its leftmost panels first) and first
-    failure, and every panel sum is reduced on its own, so each result is
-    bitwise the one of a call for its path alone.  If several paths fail,
-    the `ToleranceError` is that of the first of them in `paths`, as in a
-    loop of single calls.  What depends only on the paths, up to the nodes
-    of level 0 and the bank of shallow panel nodes, comes from their
-    memoised `_plan`, which a caller that holds it passes as `plan`.
+    Each refinement level sends the panels of every path to `integrand` in
+    one call.  A path keeps its own tolerance shares, tree-order sums and
+    panel budget, and every panel sum is reduced on its own, so each result
+    is bitwise the one of a call for its path alone.  A path that fails
+    stops refining, and so does every later path in `paths`: the
+    `ToleranceError` raised is that of the first failing path, as in a loop
+    of single calls.  What depends only on the paths, up to the nodes of
+    level 0 and the bank of shallow panel nodes, comes from their memoised
+    `_plan`, which a caller that holds it passes as `plan`.
     """
     if tol <= 0:
         raise ContourError("tolerance must be positive")
     if plan is None:
         plan = _plan(tuple(paths))
     path_of = plan.path_of
+    # the panels of a level: primitive, index k of [k, k + 1] 2^-level, tolerance
     n = len(path_of)
-    state = plan.state.copy()
-    state[:, _TOL] = tol * plan.shares
+    idx, k, ptol = np.arange(n), np.zeros(n, np.int64), tol * plan.shares
     sums = _panel_sums(plan.nodes, integrand)
     coarse, halves = sums[:, 0], sums[:, 1:]
-    rest, rest_coarse = state[:0], coarse[:0]  # panels awaiting refinement, in path order
-    states, fines, errs = [], [], []
-    failures = {}  # path -> its leftmost failing panel so far
-    next_id = n
-    level = 0  # no panel of a level is deeper than the level
+    fines, errs, splits = [], [], []
+    refined = np.zeros(len(paths), np.int64)  # panels beyond level 0, per path
+    failure = None
+    level = 0
     while True:
         fine = halves[:, 0] + halves[:, 1]
         diff = fine - coarse
         err = np.hypot(diff.real, diff.imag)
-        done = (err <= state[:, _TOL]) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag)))
-        split = ~done
-        failed = np.flatnonzero(split & (state[:, _DEPTH] >= _MAX_DEPTH)) if level >= _MAX_DEPTH else ()
-        if len(failed):
-            # a depth-first search of a path raises at its first failing panel
-            # before it reaches any panel further right, so those are dropped
-            pid = path_of[state[:, _IDX].astype(np.intp)]
-            first = {}
-            for i in failed.tolist():
-                first.setdefault(int(pid[i]), i)
-            for k, i in first.items():
-                failures[k] = (*state[i, [_LO, _HI, _TOL]], fine[i], err[i])
-                split[i:] &= pid[i:] != k
-            alive = ~np.isin(path_of[rest[:, _IDX].astype(np.intp)], list(first))
-            rest, rest_coarse = rest[alive], rest_coarse[alive]
-        states.append(state)
+        split = ~((err <= ptol) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag))))
+        pid = path_of[idx]
+        count = 2 * np.bincount(pid[split], minlength=len(paths))
+        over = (count > 0) & ((level >= _MAX_DEPTH) | (refined + count > _MAX_PANELS))
+        if over.any():
+            # this path and every later one stop; an earlier one may still fail
+            p = int(np.argmax(over))
+            i = np.flatnonzero(split & (pid == p))[0]
+            failure = level, k[i], ptol[i], fine[i], err[i]
+            split &= pid < p
+        refined += count
         fines.append(fine)
         errs.append(err)
-        # each split panel becomes its halves [lo, mid] and [mid, hi]
-        kids = np.repeat(state[split], 2, axis=0)
-        kids[0::2, _HI] = kids[0::2, _MID]
-        kids[1::2, _LO] = kids[1::2, _MID]
-        kids[:, _MID] = 0.5 * (kids[:, _LO] + kids[:, _HI])
-        kids[:, _TOL] /= 2.0
-        kids[:, _PARENT] = kids[:, _ID]
-        kids[:, _ID] = np.arange(next_id, next_id + len(kids))
-        kids[:, _DEPTH] += 1.0
-        kids[:, _HEAP] *= 2.0
-        kids[1::2, _HEAP] += 1.0
-        next_id += len(kids)
-        state, coarse = kids, halves[split].ravel()
-        if len(rest):
-            # each primitive's children go before its waiting panels
-            state, coarse = np.concatenate([state, rest]), np.concatenate([coarse, rest_coarse])
-            order = np.argsort(state[:, _IDX], kind="stable")
-            state, coarse = state[order], coarse[order]
-        if not len(state):
+        splits.append(split)
+        if not split.any():
             break
-        # with nothing waiting and at most _BATCH panels queued, all are under the cap
-        if len(rest) or len(state) > _BATCH:
-            pid = path_of[state[:, _IDX].astype(np.intp)]
-            take = np.arange(len(pid)) - np.searchsorted(pid, pid) < _BATCH
-            rest, rest_coarse = state[~take], coarse[~take]
-            state, coarse = state[take], coarse[take]
-        # the halves [lo, mid] and [mid, hi] of every panel
+        # each split panel becomes its halves 2k and 2k + 1 of the next level
+        idx = np.repeat(idx[split], 2)
+        k = np.repeat(2 * k[split], 2)
+        k[1::2] += 1
+        ptol = np.repeat(ptol[split] / 2.0, 2)
+        coarse = halves[split].ravel()
         level += 1
-        idx = state[:, _IDX].astype(np.intp)
         if level < _BANK_DEPTH:
-            nodes = _banked_nodes(plan, state, idx)
+            nodes = _banked_nodes(plan, idx, k, level)
         else:
-            nodes = _panel_nodes(plan.table, idx, state[:, _LO : _MID + 1], state[:, _MID : _HI + 1])
+            nodes = _level_nodes(plan.table, idx, k, level)
         halves = _panel_sums(nodes, integrand)
-    if failures:
-        a, b, t, best, err = failures[min(failures)]
+    if failure:
+        depth, j, t, best, err = failure
+        w = 2.0**-depth
+        why = "the depth limit" if depth >= _MAX_DEPTH else f"the budget of {_MAX_PANELS} panels"
         raise ToleranceError(
-            f"adaptive quadrature stalled on [{float(a)}, {float(b)}] "
+            f"adaptive quadrature stalled at {why} on [{j * w}, {(j + 1) * w}] "
             f"(err {err:.3g} > tol {t:.3g})",
             best=complex(best),
             error_estimate=float(err),
         )
-    # every panel was evaluated once; its sums go up the tree bottom-up
-    state = np.concatenate(states)
-    ids = state[:, _ID].astype(np.intp)
-    value, error = np.empty(next_id, complex), np.empty(next_id)
-    parent, depth = np.empty(next_id, np.intp), np.empty(next_id, np.intp)
-    value[ids], error[ids] = np.concatenate(fines), np.concatenate(errs)
-    parent[ids], depth[ids] = state[:, _PARENT], state[:, _DEPTH]
-    for d in range(depth.max(), 0, -1):
-        kid = np.flatnonzero(depth == d)[::2]  # left halves; siblings have consecutive ids
-        value[parent[kid]] = value[kid] + value[kid + 1]
-        error[parent[kid]] = error[kid] + error[kid + 1]
-    # the panels after level 0 cost 2 * 15 points each
-    refined = np.bincount(path_of[state[n:, _IDX].astype(np.intp)], minlength=len(paths))
+    # a split panel's value and error are its halves', added bottom-up
+    for d in range(level, 0, -1):
+        fines[d - 1][splits[d - 1]] = fines[d][0::2] + fines[d][1::2]
+        errs[d - 1][splits[d - 1]] = errs[d][0::2] + errs[d][1::2]
     evaluations = plan.evaluations + 2 * len(_GL_NODES) * refined
     totals, total_errs = [0j] * len(paths), [0.0] * len(paths)
-    for k, v, e in zip(path_of.tolist(), value[:n].tolist(), error[:n].tolist()):
-        totals[k] += v
-        total_errs[k] += e
+    for p, v, e in zip(path_of.tolist(), fines[0].tolist(), errs[0].tolist()):
+        totals[p] += v
+        total_errs[p] += e
     return [
         QuadratureResult(value=v, error_estimate=e, evaluations=c)
         for v, e, c in zip(totals, total_errs, evaluations.tolist())
@@ -571,8 +536,8 @@ def _check_poles_off_contours(f: GalleryFunction, cone: ConeSpec, M: int, N: int
     """Raise ContourError if a pole of f lies on a contour of the annular
     decomposition: a circle |z - x0| = 2^-n with M <= n <= N + 1, or a cone
     edge between the radii 2^-N-1 and 2^-M (the circle 2^-M alone if
-    N == M).  Its integral diverges, and the adaptive rule would refine a
-    band of panels to depth 48 before failing.  "On" allows a relative
+    N == M).  Its integral diverges, so the config is at fault, not the
+    quadrature, which would fail on its panel budget.  "On" allows a relative
     1e-12 for rounding.  A Cauchy-transform disk may meet a contour: f stays
     continuous, with a kink the quadrature refines around, and the D_n
     boundary terms still add up to the quotient.
@@ -593,10 +558,10 @@ def _check_poles_off_contours(f: GalleryFunction, cone: ConeSpec, M: int, N: int
                 raise ContourError(f"pole {p} of f lies on the cone edge at angle {a}")
 
 
-def default_inner_index(x: complex, cone: ConeSpec, minimum: int = 2) -> int:
-    """Smallest N with 2^-N <= |x - vertex| / 4."""
+def default_inner_index(x: complex, cone: ConeSpec) -> int:
+    """Smallest N >= 2 with 2^-N <= |x - vertex| / 4."""
     r = abs(x - cone.vertex)
-    return max(minimum, int(math.ceil(-math.log2(r / 4.0))))
+    return max(2, int(math.ceil(-math.log2(r / 4.0))))
 
 
 def _inner_index(f: GalleryFunction, x: complex, cone: ConeSpec) -> int:

@@ -172,22 +172,21 @@ def lord_ofarrell_series(
     )
 
 
-def parametric_verdict(
-    family: RoadrunnerFamily, alpha: float, display_terms: int = 12
-) -> CriterionReport:
-    """Exact geometric-series analysis of a roadrunner family."""
+def parametric_verdict(family: RoadrunnerFamily, alpha: float) -> CriterionReport:
+    """Exact geometric-series analysis of a roadrunner family, showing its
+    first 12 terms."""
     if not (0.0 < alpha < 1.0):
         raise CriterionError(f"alpha must lie in (0,1), got {alpha}")
     q = family.common_ratio(alpha)
     terms = []
     partial = []
     acc = 0.0
-    for n in range(family.n_min, family.n_min + display_terms):
+    for n in range(family.n_min, family.n_min + 12):
         t = family.term(n, alpha)
         acc += t
         terms.append((n, (2.0 * family.hole_radius(n)) ** (1.0 + alpha), t))
         partial.append(acc)
-    last_n = family.n_min + display_terms - 1
+    last_n = family.n_min + 11
     if q < 1.0:
         tail = family.tail(alpha, after=last_n)
         verdict = BPD_SUFFICIENT

@@ -48,11 +48,11 @@ class Disk:
         return (c.real - r, c.imag - r, c.real + r, c.imag + r)
 
 
-def annulus_radii(n: int, scale: float = 1.0) -> tuple[float, float]:
+def annulus_radii(n: int) -> tuple[float, float]:
     """Inner/outer radii of the dyadic annulus with index n (outer radius 2^-n)."""
     if n < 1:
         raise GeometryError(f"annulus index must be >= 1, got {n}")
-    return scale * 2.0 ** (-(n + 1)), scale * 2.0 ** (-n)
+    return 2.0 ** (-(n + 1)), 2.0 ** (-n)
 
 
 @dataclass(frozen=True)
@@ -251,18 +251,14 @@ def validate_cone(domain: SwissCheeseDomain, cone: ConeSpec) -> None:
             raise GeometryError(f"cone meets hole {h}")
 
 
-def verify_interior_cone(
-    domain: SwissCheeseDomain, ray: Ray, sample_count: int = 24
-) -> float:
+def verify_interior_cone(domain: SwissCheeseDomain, ray: Ray) -> float:
     """Lower estimate of the cone constant k along a non-tangential ray.
 
-    Samples the ray at dyadically spaced distances and returns the minimum of
-    boundary_distance(x) / |x - x0|.
+    Samples the ray at 24 dyadically spaced distances and returns the
+    minimum of boundary_distance(x) / |x - x0|.
     """
     if ray.origin != domain.base_point:
         raise GeometryError("ray must start at the domain base point")
-    if sample_count < 2:
-        raise GeometryError("sample_count must be >= 2")
     # exact segment/hole intersection check; sampling alone can slip between
     # dyadic points even when the ray crosses a hole
     u = cmath.exp(1j * ray.direction)
@@ -272,7 +268,7 @@ def verify_interior_cone(
         if abs(ray.origin + t * u - h.center) <= h.radius:
             raise GeometryError(f"ray passes through hole {h}")
     k = math.inf
-    for i in range(sample_count):
+    for i in range(24):
         t = ray.length * 2.0**-i
         x = ray.point(t)
         if not domain.contains(x):

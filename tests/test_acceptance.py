@@ -245,9 +245,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / f"{cmd}-{sub}"
-            code = cli_main(
-                [cmd, "--config", str(cfg_path), "--out", str(out), "--no-cache"]
-            )
+            code = cli_main([cmd, "--config", str(cfg_path), "--out", str(out)])
             if code != 0:
                 ok = False
                 details.append(f"{cmd} exit {code}")

@@ -123,7 +123,7 @@ def test_decompose_command(tmp_path, capsys):
 def test_decompose_tolerance_failure_exit_3(tmp_path, capsys):
     # an impossible tolerance makes the adaptive quadrature give up
     p = write_config(tmp_path)
-    code = run("decompose", p, tmp_path / "o", "--tol", "1e-30", "--no-cache")
+    code = run("decompose", p, tmp_path / "o", "--tol", "1e-30")
     assert code == 3
     assert "tolerance" in capsys.readouterr().err
 
@@ -230,8 +230,8 @@ def test_determinism_byte_identical_csv(tmp_path):
     p = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for cmd, name in [("criterion", "criterion.csv"), ("sweep", "sweep.csv")]:
-        assert run(cmd, p, out1, "--no-cache") == 0
-        assert run(cmd, p, out2, "--no-cache") == 0
+        assert run(cmd, p, out1) == 0
+        assert run(cmd, p, out2) == 0
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -246,8 +246,12 @@ def test_rerun_into_same_out_recomputes(tmp_path, capsys):
     assert not (out / ".cache").exists()
 
 
-def test_no_cache_is_accepted(tmp_path):
-    assert run("criterion", write_config(tmp_path), tmp_path / "o", "--no-cache") == 0
+def test_no_cache_flag_exits_2(tmp_path, capsys):
+    # there is no result cache to switch off
+    with pytest.raises(SystemExit) as exit_:
+        run("criterion", write_config(tmp_path), tmp_path / "o", "--no-cache")
+    assert exit_.value.code == 2
+    assert "--no-cache" in capsys.readouterr().err
 
 
 def test_command_returns_what_main_writes(tmp_path, capsys):
@@ -424,6 +428,29 @@ def test_content_does_not_import_scipy(tmp_path):
     assert res.stdout.splitlines()[-1] == "False"
 
 
+def test_cli_import_leaves_hashlib_out():
+    # hashlib loads OpenSSL, a few MB resident, and only config_hash needs it
+    code = (
+        "import json, sys\n"
+        "from pointderiv.cli import config_hash\n"
+        "print('hashlib' in sys.modules)\n"
+        f"raw = json.loads({json.dumps(BASE_CONFIG)!r})\n"
+        "print(config_hash(raw, 0, 1e-10), config_hash(raw, 3))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    # the hashes of earlier releases, so every manifest keeps its bytes
+    assert res.stdout.splitlines()[-2:] == ["False", "06f06c4354d4d7c1 674b5abebf00ca7f"]
+
+
 # The example config of README.md
 README_CONFIG = {
     "alpha": 0.5,
@@ -522,13 +549,15 @@ def test_csv_cells_are_str_of_each_value():
     )
 
 
-def test_pole_on_decomposition_contour_exits_2_fast(tmp_path):
-    # the pole of gallery[0] lies on the circle |z| = 2^-2 that the D_1 and
-    # D_2 boundaries run along; the quadrature used to refine it for minutes
+def _decompose_cold(tmp_path, pole):
+    """`pointderiv decompose` in a fresh interpreter, on the README config
+    with one hole (centre 0.25, radius 0.075) and gallery[0] a pole at
+    `pole` inside it.  A cold run takes well under a second; a hang fails at
+    the timeout."""
     cfg = dict(
         README_CONFIG,
         domain={"holes": [{"center": [0.25, 0], "radius": 0.075}]},
-        gallery=[{"rational": [{"pole": [0.25, 0], "weight": 1}]}],
+        gallery=[{"rational": [{"pole": [pole, 0], "weight": 1}]}],
     )
     p = tmp_path / "d10.json"
     p.write_text(json.dumps(cfg))
@@ -538,14 +567,30 @@ def test_pole_on_decomposition_contour_exits_2_fast(tmp_path):
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    # a cold run takes about 0.4 s; a hang fails at the timeout
-    res = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=10,
     )
+
+
+def test_pole_on_decomposition_contour_exits_2_fast(tmp_path):
+    # the pole of gallery[0] lies on the circle |z| = 2^-2 that the D_1 and
+    # D_2 boundaries run along; the quadrature used to refine it for minutes
+    res = _decompose_cold(tmp_path, 0.25)
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr and "lies on the contour" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("offset", [1e-6, 1e-9])
+def test_pole_near_decomposition_contour_exits_3_fast(tmp_path, offset):
+    # a pole just outside the circle |z| = 2^-2 used to keep the quadrature
+    # refining a band of panels around it for minutes; the panel budget
+    # ends it
+    res = _decompose_cold(tmp_path, 0.25 * (1.0 + offset))
+    assert res.returncode == 3, res.stderr
+    assert "numerical tolerance failure" in res.stderr and "budget" in res.stderr
     assert "Traceback" not in res.stderr

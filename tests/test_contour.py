@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointderiv import (
@@ -81,6 +81,22 @@ def integrate_reference(path, integrand, tol=1e-10):
 def winding_number(path, z0):
     res = integrate_contour(path, lambda z: 1.0 / (z - z0), tol=1e-8)
     return (res.value / (2j * math.pi)).real
+
+
+def _slice_calls(monkeypatch, batch):
+    """Send every integrand call of the level loop in slices of `batch`
+    refined panels (2 * 15 points each): no panel sum may depend on which
+    other panels share its call."""
+    sums = contour._panel_sums
+    step = 2 * len(_GL_NODES) * batch
+
+    def sliced(nodes, integrand):
+        def f(z):
+            return np.concatenate([integrand(z[i : i + step]) for i in range(0, len(z), step)])
+
+        return sums(nodes, f)
+
+    monkeypatch.setattr(contour, "_panel_sums", sliced)
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -187,11 +203,11 @@ REFERENCE_PATHS = {
 }
 
 
-@pytest.mark.parametrize("batch", [contour._BATCH, 1])
+@pytest.mark.parametrize("batch", [256, 1])
 @pytest.mark.parametrize("path_name", sorted(REFERENCE_PATHS))
 def test_quadrature_matches_recursive_reference(path_name, batch, gallery, monkeypatch):
-    # batch 1 refines one panel per integrand call, leftmost first
-    monkeypatch.setattr(contour, "_BATCH", batch)
+    # batch 1 sends the integrand one refined panel per call
+    _slice_calls(monkeypatch, batch)
     # gallery[1] is a polynomial, [8] a pole, [15] a Cauchy transform
     path = REFERENCE_PATHS[path_name]()
     x = -0.1
@@ -209,19 +225,109 @@ def test_quadrature_matches_recursive_reference(path_name, batch, gallery, monke
         assert res.evaluations < evaluations if refined else res.evaluations == evaluations
 
 
-def test_quadrature_pole_on_path_raises_like_reference():
-    path = full_circle(0j, 1.0)
+def _level_reference_failure(path, integrand, tol, max_depth, max_panels):
+    """(lo, hi, fine, err) of the panel a level-by-level run of the recursive
+    rule fails on: the leftmost panel that still splits at the first level
+    that is `max_depth` or whose splits would take the path past
+    `max_panels` panels beyond level 0."""
+    total_len = path.total_length
+    stats = [0]
+    panels = []  # (F, lo, hi, tol, coarse)
+    for prim in path.segments:
+
+        def F(t, prim=prim):
+            return np.asarray(integrand(prim.point(t))) * prim.velocity(t)
+
+        panels.append((F, 0.0, 1.0, tol * prim.length / total_len, _gl_reference(F, 0.0, 1.0, stats)))
+    refined = 0
+    for level in range(max_depth + 1):
+        split = []
+        for F, a, b, t, coarse in panels:
+            m = 0.5 * (a + b)
+            left, right = _gl_reference(F, a, m, stats), _gl_reference(F, m, b, stats)
+            fine = left + right
+            err = abs(fine - coarse)
+            if not (err <= t or err <= 1e-16 * (1.0 + abs(fine))):
+                split.append((F, a, m, b, t, fine, err, left, right))
+        assert split, "the integral converges"
+        if level == max_depth or refined + 2 * len(split) > max_panels:
+            _, a, _, b, _, fine, err, _, _ = split[0]
+            return a, b, fine, err
+        refined += 2 * len(split)
+        panels = [
+            half
+            for F, a, m, b, t, _, _, left, right in split
+            for half in ((F, a, m, t / 2.0, left), (F, m, b, t / 2.0, right))
+        ]
+
+
+@pytest.mark.parametrize(
+    "centre, max_depth, max_panels",
+    [(0j, 48, 64), (2.0, 48, 64), (0j, 6, 2**15), (2.0, 6, 2**15)],
+)
+def test_quadrature_failure_names_leftmost_splitting_panel(centre, max_depth, max_panels, monkeypatch):
+    # a pole at the start of the first arc, or at the end of it
+    monkeypatch.setattr(contour, "_MAX_DEPTH", max_depth)
+    monkeypatch.setattr(contour, "_MAX_PANELS", max_panels)
+    path = full_circle(centre, 1.0)
+    points = []
 
     def integrand(z):
+        points.append(len(z))
         return 1.0 / (z - 1.0)
 
     with pytest.raises(ToleranceError) as got:
         integrate_contour(path, integrand, tol=1e-10)
-    with pytest.raises(ToleranceError) as want:
-        integrate_reference(path, integrand, tol=1e-10)
-    assert got.value.best is not None and got.value.error_estimate is not None
-    assert _bits(got.value.best) == _bits(want.value.best)
-    assert got.value.error_estimate == want.value.error_estimate
+    assert points[0] == 3 * len(_GL_NODES) * len(path.segments)
+    assert sum(points[1:]) <= 2 * len(_GL_NODES) * max_panels
+    lo, hi, best, err = _level_reference_failure(path, integrand, 1e-10, max_depth, max_panels)
+    assert f"on [{lo}, {hi}]" in str(got.value)
+    assert _bits(got.value.best) == _bits(best)
+    assert got.value.error_estimate == err
+
+
+def test_pole_at_arc_end_fails_within_budget():
+    # the pole ends the first arc of the circle |z - 2| = 1; the panels near
+    # it used to be refined for about 20 s before the depth limit failed them
+    path = full_circle(2.0, 1.0)
+    points = []
+
+    def integrand(z):
+        points.append(len(z))
+        return 1.0 / (z - 1.0)
+
+    with pytest.raises(ToleranceError, match="budget"):
+        integrate_contour(path, integrand)
+    assert sum(points) <= len(_GL_NODES) * (3 * len(path.segments) + 2 * contour._MAX_PANELS)
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(side=st.sampled_from([1.0, -1.0]), log_offset=st.floats(-12.0, -2.0))
+@example(side=-1.0, log_offset=-2.0)  # certifies
+def test_pole_near_decomposition_circle_certifies_or_fails_within_budget(side, log_offset):
+    # a pole a relative 10^log_offset inside or outside the circle |z| = 2^-2,
+    # in the hole (centre 0.25, radius 0.075) of a valid explicit config
+    f = GalleryFunction(rational_terms=((0.25 * (1.0 + side * 10.0**log_offset), 1.0),))
+    x = complex(-0.75 * 0.25 * 0.25)
+    _, plan = contour._decomposition_contours(CONE, 1, 10)
+    refined = np.zeros(len(plan.evaluations), int)  # panels beyond level 0, per path
+    level_nodes = contour._level_nodes
+
+    def counted(table, idx, k, level):
+        refined[:] += np.bincount(plan.path_of[idx], minlength=len(refined))
+        return level_nodes(table, idx, k, level)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # without the bank every level computes its nodes here, bit for bit
+        mp.setattr(contour, "_BANK_DEPTH", 0)
+        mp.setattr(contour, "_level_nodes", counted)
+        try:
+            rep = annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-10)
+        except (ContourError, ToleranceError):
+            pass
+        else:
+            assert rep.residual <= 2e-10
+    assert refined.max() <= contour._MAX_PANELS
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +348,11 @@ def _error_bits(err):
     return str(err), _bits(err.best), err.error_estimate.hex()
 
 
-@pytest.mark.parametrize("batch", [contour._BATCH, 2])
+@pytest.mark.parametrize("batch", [256, 2])
 @pytest.mark.parametrize("index", [1, 8, 15])  # a polynomial, a pole, a Cauchy transform
 def test_integrate_many_matches_single_paths(index, batch, gallery, monkeypatch):
-    # at batch 2 every path outgrows the cap beside the others
-    monkeypatch.setattr(contour, "_BATCH", batch)
+    # at batch 2 the paths of one level share no integrand call
+    _slice_calls(monkeypatch, batch)
     f, x = gallery[index], -0.1
     paths = _decomposition_paths()
 
@@ -304,7 +410,7 @@ def _solo_error(path):
 def test_integrate_many_failure_is_that_of_the_path_alone(name):
     ok = full_circle(0j, 0.5)
     solo = _solo_error(FAILING[name])
-    # the failing path outgrows the cap while the others converge at once
+    # the failing path spends its budget while the others converge at once
     for paths in ([FAILING[name]], [ok, FAILING[name], ok, ok], [ok, ok, FAILING[name]]):
         with pytest.raises(ToleranceError) as err:
             contour._integrate_many(paths, _two_poles, 1e-10)
@@ -322,7 +428,7 @@ def test_integrate_many_raises_first_failing_path():
 
 
 def test_integrate_many_wide_path_beside_small_ones():
-    # one path needs more than _BATCH panels a level, the others one each
+    # one path needs hundreds of panels a level, the others one each
     def integrand(z):
         return 1.0 / (z - 0.999)
 
@@ -331,7 +437,6 @@ def test_integrate_many_wide_path_beside_small_ones():
     solo = integrate_contour(wide, integrand, tol=1e-13)
     assert _result_bits(many[1]) == _result_bits(solo)
     assert _result_bits(many[0]) == _result_bits(integrate_contour(small, integrand, tol=1e-13))
-    assert solo.evaluations > 2 * len(_GL_NODES) * contour._BATCH
 
 
 def test_integrate_many_caps_each_path_on_its_own():
@@ -348,7 +453,6 @@ def test_integrate_many_caps_each_path_on_its_own():
 
     wide = full_circle(0j, 1.0)
     solo = sizes([wide])
-    assert max(solo) == 2 * len(_GL_NODES) * contour._BATCH
     assert sizes([wide, wide]) == [2 * n for n in solo]
 
 
@@ -401,7 +505,7 @@ def test_plan_reuse_leaves_results_unchanged(gallery):
 
 def test_plan_arrays_are_read_only():
     plan = contour._plan(tuple(_decomposition_paths()))
-    arrays = [plan.path_of, plan.shares, *plan.table, plan.state, *plan.nodes, plan.evaluations]
+    arrays = [plan.path_of, plan.shares, *plan.table, *plan.nodes, plan.evaluations]
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0
@@ -428,11 +532,11 @@ def _spy_levels(monkeypatch):
     levels, in_bank = [], []
     banked, nodes = contour._banked_nodes, contour._panel_nodes
 
-    def spy_bank(plan, state, idx):
-        levels.append((True, state[:, contour._DEPTH].tolist()))
+    def spy_bank(plan, idx, k, level):
+        levels.append((True, [level] * len(idx)))
         in_bank.append(True)
         try:
-            return banked(plan, state, idx)
+            return banked(plan, idx, k, level)
         finally:
             in_bank.pop()
 
@@ -447,19 +551,20 @@ def _spy_levels(monkeypatch):
     return levels
 
 
-def _check_levels(levels, mixed=True):
-    # some level mixes depths, and some refinement goes deeper than the bank
-    assert any(len(set(depths)) > 1 for _, depths in levels) == mixed
-    assert max(max(depths) for _, depths in levels) >= contour._BANK_DEPTH
-    assert all(max(depths) < contour._BANK_DEPTH for banked, depths in levels if banked)
+def _check_levels(levels):
+    # each level is one depth, and some refinement goes deeper than the bank
+    assert [depths[0] for _, depths in levels] == list(range(1, len(levels) + 1))
+    assert all(len(set(depths)) == 1 for _, depths in levels)
+    assert len(levels) >= contour._BANK_DEPTH
+    assert all(depths[0] < contour._BANK_DEPTH for from_bank, depths in levels if from_bank)
 
 
 def _panel_of_row(row):
-    """(primitive, lo, hi) of the panel whose halves bank row `row` holds."""
+    """(primitive, level, k) of the panel [k, k + 1] 2^-level whose halves
+    bank row `row` holds."""
     i, h = divmod(row, contour._BANK_ROWS)
-    h += 2
-    d = h.bit_length() - 1
-    return i, (h - 2**d) / 2**d, (h - 2**d + 1) / 2**d
+    level = (h + 2).bit_length() - 1
+    return i, level, h + 2 - 2**level
 
 
 def _bank_bits(nodes):
@@ -474,7 +579,6 @@ BANK_PLANS = {
 
 @pytest.mark.parametrize("name", sorted(BANK_PLANS))
 def test_bank_rows_are_panel_nodes(name, monkeypatch):
-    monkeypatch.setattr(contour, "_BATCH", 2)
     paths = BANK_PLANS[name]()
     plan = contour._plan.__wrapped__(paths)  # built afresh, with an empty bank
     z, vel, half, filled = plan.bank
@@ -486,31 +590,26 @@ def test_bank_rows_are_panel_nodes(name, monkeypatch):
         return 1.0 / (z - 0.26) + 1.0 / (z + 0.52) + 1.0 / (z - 0.00101)
 
     contour._integrate_many(paths, integrand, 1e-10, plan)
-    # one path at batch 2 refines one pair of halves a level, so only the
-    # decomposition's levels mix depths; the call for all rows below does
-    _check_levels(levels, mixed=len(paths) > 1)
+    _check_levels(levels)
     assert 0 < filled.sum() < len(filled)
-    # the level loop's rows, and the rest filled by one call for all panels
+    # the level loop's rows, and the rest filled by one call per level
     rows = np.arange(len(filled))
-    panels = [_panel_of_row(int(r)) for r in rows]
-    state = np.zeros((len(rows), len(plan.state[0])))
-    idx = np.array([i for i, _, _ in panels])
-    state[:, contour._IDX] = idx
-    state[:, contour._LO], state[:, contour._HI] = [lo for _, lo, _ in panels], [hi for *_, hi in panels]
-    state[:, contour._MID] = 0.5 * (state[:, contour._LO] + state[:, contour._HI])
-    state[:, contour._HEAP] = rows % contour._BANK_ROWS + 2
-    got = contour._banked_nodes(plan, state, idx)
+    panels = np.array([_panel_of_row(int(r)) for r in rows])
+    for level in range(1, contour._BANK_DEPTH):
+        at = panels[:, 1] == level
+        got = contour._banked_nodes(plan, panels[at, 0], panels[at, 2], level)
+        assert [a.tobytes() for a in got] == [a[rows[at]].tobytes() for a in (z, vel, half)]
     assert filled.all()
-    for r, (i, lo, hi) in zip(rows, panels):
+    for r, (i, level, k) in zip(rows, panels.tolist()):
+        lo, hi = k / 2**level, (k + 1) / 2**level
         mid = 0.5 * (lo + hi)
         want = contour._panel_nodes(plan.table, np.array([i]), np.array([[lo, mid]]), np.array([[mid, hi]]))
         assert _bank_bits((z[r], vel[r], half[r])) == _bank_bits(a[0] for a in want)
-        assert _bank_bits(a[r] for a in got) == _bank_bits(a[0] for a in want)
 
 
-@pytest.mark.parametrize("batch", [contour._BATCH, 2])
+@pytest.mark.parametrize("batch", [256, 2])
 def test_decomposition_bits_without_bank(batch, gallery, monkeypatch):
-    monkeypatch.setattr(contour, "_BATCH", batch)
+    _slice_calls(monkeypatch, batch)
     # a pole just outside the circle 2^-2 refines past the bank's depth
     near = GalleryFunction(rational_terms=((0.26, 0.01),))
     cases = [
@@ -520,8 +619,8 @@ def test_decomposition_bits_without_bank(batch, gallery, monkeypatch):
     ]
     levels = _spy_levels(monkeypatch)
     banked = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)) for f, x in cases]
-    if batch == 2:
-        _check_levels(levels)
+    assert max(depths[0] for _, depths in levels) >= contour._BANK_DEPTH
+    assert all(depths[0] < contour._BANK_DEPTH for from_bank, depths in levels if from_bank)
     monkeypatch.setattr(contour, "_BANK_DEPTH", 0)  # every level computes its nodes
     levels.clear()
     bypassed = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)) for f, x in cases]
