@@ -209,12 +209,22 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
             scales = int(r.get("scales", 20))
         if scales < 0:
             raise ConfigError(f"ray.scales must be at least 0, got {scales}")
+        # the last sample, at distance length * 2^-scales, as `limit` and
+        # `sweep` compute it; 2.0**-j is 0.0 from j = 1075 on
+        if ray.point(ray.length * 2.0 ** -min(scales, 1075)) == ray.origin:
+            raise ConfigError(
+                f"ray.scales = {scales} puts the last ray sample on the base point"
+            )
     with _section("tolerances"):
         tols = raw.get("tolerances", {})
         quad_tol = float(tols.get("quad_tol", 1e-10))
         limit_tol = float(tols.get("limit_tol", 1e-3))
+    quad_key = "tolerances.quad_tol"
     if tol_override is not None:
-        quad_tol = tol_override
+        quad_tol, quad_key = tol_override, "--tol"
+    for key, tol in ((quad_key, quad_tol), ("tolerances.limit_tol", limit_tol)):
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"{key} must be finite and positive, got {tol}")
     with _section("gallery"):
         gallery = _parse_gallery(raw.get("gallery"), domain)
     with _section("n_max"):

@@ -248,15 +248,15 @@ def _level_nodes(table, idx, k, level) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _panel_nodes(table, idx, np.stack([lo, mid], -1), np.stack([mid, hi], -1))
 
 
-def _panel_sums(nodes, integrand) -> np.ndarray:
+def _panel_sums(nodes, values) -> np.ndarray:
     """15-point Gauss-Legendre sums over the panels of `_panel_nodes`, from
-    one `integrand` call.
+    the integrand's `values` at their flattened nodes.
 
     Each sum is reduced along the node axis on its own, so a panel's sum
     does not depend on which other panels share the call.
     """
     z, vel, half = nodes
-    vals = np.asarray(integrand(z.ravel())) * vel.ravel()
+    vals = np.asarray(values) * vel.ravel()
     return half * np.sum(vals.reshape(z.shape) * _GL_WEIGHTS, axis=-1)
 
 
@@ -268,15 +268,21 @@ _BANK_DEPTH = 4
 _BANK_ROWS = 2**_BANK_DEPTH - 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Plan:
-    """What `_integrate_many` needs of a path set before it sees an integrand."""
+    """What `_integrate_many` needs of a path set before it sees an integrand.
+
+    Plans compare and hash by identity, so a plan is a cheap memo key.
+    """
 
     path_of: np.ndarray  # each primitive's path
     shares: np.ndarray  # each primitive's share of its path's tolerance
     table: tuple  # `_primitive_table` of the primitives
     nodes: tuple  # `_panel_nodes` of each primitive's coarse, left and right panel
     evaluations: np.ndarray  # integrand points of level 0, per path
+    # row j holds each path's j-th primitive, or the primitive count (a zero
+    # pad) where the path has fewer
+    columns: np.ndarray
     # `_level_nodes` of panel k of level L on primitive i in row
     # i * _BANK_ROWS + 2^L - 2 + k, filled on first use: (z, velocities,
     # half-widths, filled)
@@ -303,8 +309,12 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
     table = _primitive_table(prims)
     nodes = _panel_nodes(table, np.arange(n), np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.5, 1.0]))
     path_of, shares = np.array(path_of), np.array(shares)
-    evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
-    for a in (path_of, shares, *table, *nodes, evaluations):
+    counts = np.bincount(path_of, minlength=len(paths))
+    evaluations = 3 * len(_GL_NODES) * counts
+    columns = np.full((counts.max(), len(paths)), n)
+    for k, (start, count) in enumerate(zip(np.cumsum(counts) - counts, counts)):
+        columns[:count, k] = np.arange(start, start + count)
+    for a in (path_of, shares, *table, *nodes, evaluations, columns):
         a.flags.writeable = False
     # the zeroed pages of rows never used need not become resident
     rows = n * _BANK_ROWS
@@ -314,7 +324,7 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
         np.zeros((rows, 2)),
         np.zeros(rows, bool),
     )
-    return _Plan(path_of, shares, table, nodes, evaluations, bank)
+    return _Plan(path_of, shares, table, nodes, evaluations, columns, bank)
 
 
 def _banked_nodes(plan: _Plan, idx: np.ndarray, k: np.ndarray, level: int) -> tuple:
@@ -355,11 +365,13 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
     path that reaches level 48 within its budget fails on the panel the
     depth-first recursion fails on.
     """
-    return _integrate_many([path], integrand, tol)[0]
+    values, errors, evaluations = _integrate_many([path], integrand, tol)
+    return QuadratureResult(complex(values[0]), float(errors[0]), int(evaluations[0]))
 
 
-def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None) -> list[QuadratureResult]:
-    """`integrate_contour(path, integrand, tol)` for each path, in one loop.
+def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None, values0=None):
+    """`integrate_contour(path, integrand, tol)` for each path, in one loop:
+    arrays of the values, error estimates and evaluations of the paths.
 
     Each refinement level sends the panels of every path to `integrand` in
     one call.  A path keeps its own tolerance shares, tree-order sums and
@@ -369,20 +381,31 @@ def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None) -> 
     `ToleranceError` raised is that of the first failing path, as in a loop
     of single calls.  What depends only on the paths, up to the nodes of
     level 0 and the bank of shallow panel nodes, comes from their memoised
-    `_plan`, which a caller that holds it passes as `plan`.
+    `_plan`, which a caller that holds it passes as `plan`.  A caller that
+    already holds the integrand's values at the flattened level-0 nodes
+    `plan.nodes[0]` passes them as `values0`, in place of the first call.
     """
-    if tol <= 0:
-        raise ContourError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ContourError(f"tolerance must be positive and finite, got {tol}")
     if plan is None:
         plan = _plan(tuple(paths))
     path_of = plan.path_of
     # the panels of a level: primitive, index k of [k, k + 1] 2^-level, tolerance
     n = len(path_of)
     idx, k, ptol = np.arange(n), np.zeros(n, np.int64), tol * plan.shares
-    sums = _panel_sums(plan.nodes, integrand)
+    if values0 is None:
+        values0 = integrand(plan.nodes[0].ravel())
+    sums = _panel_sums(plan.nodes, values0)
     coarse, halves = sums[:, 0], sums[:, 1:]
     fines, errs, splits = [], [], []
-    refined = np.zeros(len(paths), np.int64)  # panels beyond level 0, per path
+    levels = []  # the primitive of each panel of levels 1, 2, ...
+    refined = 0  # panels beyond level 0, over all paths
+
+    def refined_per_path():
+        if not levels:
+            return 0
+        return np.bincount(path_of[np.concatenate(levels)], minlength=len(paths))
+
     failure = None
     level = 0
     while True:
@@ -390,20 +413,23 @@ def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None) -> 
         diff = fine - coarse
         err = np.hypot(diff.real, diff.imag)
         split = ~((err <= ptol) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag))))
-        pid = path_of[idx]
-        count = 2 * np.bincount(pid[split], minlength=len(paths))
-        over = (count > 0) & ((level >= _MAX_DEPTH) | (refined + count > _MAX_PANELS))
-        if over.any():
-            # this path and every later one stop; an earlier one may still fail
-            p = int(np.argmax(over))
-            i = np.flatnonzero(split & (pid == p))[0]
-            failure = level, k[i], ptol[i], fine[i], err[i]
-            split &= pid < p
-        refined += count
         fines.append(fine)
         errs.append(err)
         splits.append(split)
-        if not split.any():
+        count = 2 * np.count_nonzero(split)
+        # no path can pass its budget while all of them together stay within it
+        if count and (level >= _MAX_DEPTH or refined + count > _MAX_PANELS):
+            pid = path_of[idx]
+            counts = 2 * np.bincount(pid[split], minlength=len(paths))
+            over = (counts > 0) & ((level >= _MAX_DEPTH) | (refined_per_path() + counts > _MAX_PANELS))
+            if over.any():
+                # this path and every later one stop; an earlier one may still fail
+                p = int(np.argmax(over))
+                i = np.flatnonzero(split & (pid == p))[0]
+                failure = level, k[i], ptol[i], fine[i], err[i]
+                split &= pid < p
+                count = 2 * np.count_nonzero(split)
+        if not count:
             break
         # each split panel becomes its halves 2k and 2k + 1 of the next level
         idx = np.repeat(idx[split], 2)
@@ -411,12 +437,14 @@ def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None) -> 
         k[1::2] += 1
         ptol = np.repeat(ptol[split] / 2.0, 2)
         coarse = halves[split].ravel()
+        levels.append(idx)
+        refined += count
         level += 1
         if level < _BANK_DEPTH:
             nodes = _banked_nodes(plan, idx, k, level)
         else:
             nodes = _level_nodes(plan.table, idx, k, level)
-        halves = _panel_sums(nodes, integrand)
+        halves = _panel_sums(nodes, integrand(nodes[0].ravel()))
     if failure:
         depth, j, t, best, err = failure
         w = 2.0**-depth
@@ -431,15 +459,14 @@ def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None) -> 
     for d in range(level, 0, -1):
         fines[d - 1][splits[d - 1]] = fines[d][0::2] + fines[d][1::2]
         errs[d - 1][splits[d - 1]] = errs[d][0::2] + errs[d][1::2]
-    evaluations = plan.evaluations + 2 * len(_GL_NODES) * refined
-    totals, total_errs = [0j] * len(paths), [0.0] * len(paths)
-    for p, v, e in zip(path_of.tolist(), fines[0].tolist(), errs[0].tolist()):
-        totals[p] += v
-        total_errs[p] += e
-    return [
-        QuadratureResult(value=v, error_estimate=e, evaluations=c)
-        for v, e, c in zip(totals, total_errs, evaluations.tolist())
-    ]
+    # each path's primitives added in order, from 0 as a Python sum would:
+    # 0 + -0.0 is 0.0, and the zero pad leaves a total that is never -0.0
+    fine, err = np.append(fines[0], 0.0), np.append(errs[0], 0.0)
+    values, errors = np.zeros(len(paths), complex), np.zeros(len(paths))
+    for col in plan.columns:
+        values += fine[col]
+        errors += err[col]
+    return values, errors, plan.evaluations + 2 * len(_GL_NODES) * refined_per_path()
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +544,24 @@ def _decomposition_contours(cone: ConeSpec, M: int, N: int) -> tuple[tuple[Conto
     paths = tuple(_clockwise_annular_piece(n, cone) for n in annuli)
     paths += (full_circle(cone.vertex, 2.0**-M),)
     return paths, _plan(paths)
+
+
+@functools.lru_cache(maxsize=32)
+def _level0_values(f: GalleryFunction, plan: _Plan) -> np.ndarray:
+    """f at the flattened level-0 nodes of `plan`, evaluated once per (f, plan).
+
+    Every point x of a ray integrates the same f over the same paths, so
+    their level-0 points, 1,890 for M = 1 and N = 10, are the same for each
+    x.  Gallery functions are frozen and compared by value, plans by
+    identity; as for the plans, `lru_cache` takes 0.0 and -0.0 for the same
+    key.  An entry of that grid holds 30,240 bytes.  The deeper levels are
+    not kept: which of their panels refine depends on x, and the values of
+    one function on every banked row could take about 280 KB.  The array is
+    read-only, because every later call with this f and plan reads it.
+    """
+    values = np.asarray(f(plan.nodes[0].ravel()))
+    values.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +696,12 @@ def annular_decomposition(
     annuli = [] if N == M else list(range(M, N + 1))
     term_tol = tol / (len(annuli) + 1)
     paths, plan = _decomposition_contours(cone, M, N)
-    results = _integrate_many(paths, integrand, term_tol, plan)
-    terms = [(n, res.value / (2j * math.pi)) for n, res in zip(annuli, results)]
-    circle_term = results[-1].value / (2j * math.pi)
+    z0 = plan.nodes[0].ravel()
+    values0 = _level0_values(f, plan) / ((z0 - v) * (z0 - x))
+    values, errors, evaluations = _integrate_many(paths, integrand, term_tol, plan, values0)
+    values = values.tolist()
+    terms = [(n, value / (2j * math.pi)) for n, value in zip(annuli, values)]
+    circle_term = values[-1] / (2j * math.pi)
     lhs = f(x) / (x - v)
     total = sum(t for _, t in terms) + circle_term
     return DecompositionReport(
@@ -661,8 +709,8 @@ def annular_decomposition(
         annular_terms=tuple(terms),
         inner_circle_term=circle_term,
         residual=abs(lhs - total),
-        evaluations=sum(res.evaluations for res in results),
-        err_to_tol=max(res.error_estimate for res in results) / term_tol,
+        evaluations=int(evaluations.sum()),
+        err_to_tol=float(errors.max()) / term_tol,
     )
 
 

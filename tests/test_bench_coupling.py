@@ -1,24 +1,31 @@
 """The benchmark's tracer patches package functions by name; check that every
 name it lists still exists, so a rename fails here rather than as a KeyError
-in `perfbench/run.py --trace 1`."""
+in `perfbench/run.py --trace 1`.  The benchmark's configs must also stay
+valid inputs of the package."""
 import importlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from pointderiv import build_test_gallery
+from pointderiv.cli import _parse_domain
+from pointderiv.lipschitz import GalleryError
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing_module():
+def _source_module(name):
     # executed from its source, so nothing is written next to it
-    mod = types.ModuleType("tracing")
-    mod.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), mod.__dict__)
+    path = PERFBENCH / f"{name}.py"
+    mod = types.ModuleType(name)
+    mod.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
     return mod
 
 
-tracing = _tracing_module()
+tracing = _source_module("tracing")
 
 
 @pytest.mark.parametrize(
@@ -36,3 +43,31 @@ def test_traced_function_exists(layer, path, attr, kind):
     owner = tracing._resolve(path)
     assert attr in owner.__dict__, f"{path}.{attr}"
     assert layer in tracing.LAYERS and kind in ("span", "leaf")
+
+
+def _benchmark_configs():
+    saved = sys.modules.get("refs")
+    sys.modules["refs"] = _source_module("refs")  # imported by the workloads
+    try:
+        return _source_module("workloads").CONFIGS
+    finally:
+        if saved is None:
+            del sys.modules["refs"]
+        else:
+            sys.modules["refs"] = saved
+
+
+CONFIGS = _benchmark_configs()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_preset_galleries_fit_benchmark_domains(name):
+    # every preset count, up to the most functions the domain supports
+    domain = _parse_domain(CONFIGS[name]["domain"])
+    count = 0
+    with pytest.raises(GalleryError, match="supports only"):
+        while True:
+            for f in build_test_gallery(domain, count + 1):
+                f.validate_for_domain(domain)
+            count += 1
+    assert count >= CONFIGS[name]["gallery"]["count"]

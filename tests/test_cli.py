@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pointderiv import annulus_complement, conjugate_function, contour, experiments
-from pointderiv.cli import RunContext, _csv, cmd_limit, config_hash, load_config, main
+from pointderiv.cli import ConfigError, RunContext, _csv, cmd_limit, config_hash, load_config, main
 
 BASE_CONFIG = {
     "alpha": 0.5,
@@ -594,3 +594,57 @@ def test_pole_near_decomposition_contour_exits_3_fast(tmp_path, offset):
     assert res.returncode == 3, res.stderr
     assert "numerical tolerance failure" in res.stderr and "budget" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("quad_tol", math.nan),
+        ("quad_tol", math.inf),
+        ("quad_tol", 0.0),
+        ("quad_tol", -1e-10),
+        ("limit_tol", math.nan),
+        ("limit_tol", math.inf),
+        ("limit_tol", -1.0),
+    ],
+)
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, key, value):
+    # a NaN tolerance used to pass every check and end in the manifest
+    p = write_config(tmp_path, {"tolerances": dict(BASE_CONFIG["tolerances"], **{key: value})})
+    command = "decompose" if key == "quad_tol" else "limit"
+    assert run(command, p, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"tolerances.{key}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, tol):
+    assert run("decompose", write_config(tmp_path), tmp_path / "o", "--tol", tol) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--tol" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["limit", "sweep"])
+def test_ray_sample_on_base_point_exits_2(tmp_path, capsys, command):
+    # the last sample 0.25 * 2^-1100 underflows to the base point 0; sweep
+    # used to divide by zero there
+    p = tmp_path / "readme.json"
+    p.write_text(json.dumps(dict(README_CONFIG, ray=dict(README_CONFIG["ray"], scales=1100))))
+    assert run(command, p, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "ray.scales" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ray_scales_up_to_the_last_nonzero_sample(tmp_path):
+    # 0.25 * 2^-1072 is the smallest subnormal; one scale more rounds to 0
+    for scales, ok in ((1072, True), (1073, False), (10**400, False)):
+        p = tmp_path / "readme.json"
+        p.write_text(json.dumps(dict(README_CONFIG, ray=dict(README_CONFIG["ray"], scales=scales))))
+        if ok:
+            assert load_config(p).scales == scales
+        else:
+            with pytest.raises(ConfigError, match="ray.scales"):
+                load_config(p)

@@ -87,16 +87,25 @@ def _slice_calls(monkeypatch, batch):
     """Send every integrand call of the level loop in slices of `batch`
     refined panels (2 * 15 points each): no panel sum may depend on which
     other panels share its call."""
-    sums = contour._panel_sums
+    many = contour._integrate_many
     step = 2 * len(_GL_NODES) * batch
 
-    def sliced(nodes, integrand):
+    def sliced(paths, integrand, *args):
         def f(z):
             return np.concatenate([integrand(z[i : i + step]) for i in range(0, len(z), step)])
 
-        return sums(nodes, f)
+        return many(paths, f, *args)
 
-    monkeypatch.setattr(contour, "_panel_sums", sliced)
+    monkeypatch.setattr(contour, "_integrate_many", sliced)
+
+
+def _many(paths, integrand, tol, plan=None):
+    """The results of `_integrate_many` as `integrate_contour` gives them."""
+    values, errors, evaluations = contour._integrate_many(paths, integrand, tol, plan)
+    return [
+        contour.QuadratureResult(complex(v), float(e), int(c))
+        for v, e, c in zip(values, errors, evaluations)
+    ]
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -179,6 +188,16 @@ def test_integrate_entire_function_zero():
 def test_integrate_tolerance_positive():
     with pytest.raises(ContourError):
         integrate_contour(full_circle(0j, 1.0), lambda z: z, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_integrate_tolerance_finite(tol):
+    # a NaN tolerance would accept a panel only at the rounding floor, an
+    # infinite one every panel of level 0
+    with pytest.raises(ContourError, match="positive and finite"):
+        integrate_contour(full_circle(0j, 1.0), lambda z: z, tol=tol)
+    with pytest.raises(ContourError, match="positive and finite"):
+        annular_decomposition(GalleryFunction(poly_coeffs=(0, 1)), -0.1, CONE, tol=tol)
 
 
 def test_quadrature_primitive_order_independent():
@@ -359,7 +378,7 @@ def test_integrate_many_matches_single_paths(index, batch, gallery, monkeypatch)
     def integrand(z):
         return f(z) / (z * (z - x))
 
-    many = contour._integrate_many(paths, integrand, 1e-10 / 11)
+    many = _many(paths, integrand, 1e-10 / 11)
     single = [integrate_contour(path, integrand, tol=1e-10 / 11) for path in paths]
     assert [_result_bits(r) for r in many] == [_result_bits(r) for r in single]
 
@@ -433,7 +452,7 @@ def test_integrate_many_wide_path_beside_small_ones():
         return 1.0 / (z - 0.999)
 
     wide, small = full_circle(0j, 1.0), full_circle(0j, 0.5)
-    many = contour._integrate_many([small, wide, small], integrand, 1e-13)
+    many = _many([small, wide, small], integrand, 1e-13)
     solo = integrate_contour(wide, integrand, tol=1e-13)
     assert _result_bits(many[1]) == _result_bits(solo)
     assert _result_bits(many[0]) == _result_bits(integrate_contour(small, integrand, tol=1e-13))
@@ -471,7 +490,7 @@ def test_integrate_many_any_path_subset_matches_single_paths(order, index, t, ga
     def integrand(z):
         return f(z) / (z * (z - x))
 
-    many = contour._integrate_many(paths, integrand, 1e-10 / 11)
+    many = _many(paths, integrand, 1e-10 / 11)
     single = [integrate_contour(path, integrand, tol=1e-10 / 11) for path in paths]
     assert [_result_bits(r) for r in many] == [_result_bits(r) for r in single]
 
@@ -505,7 +524,7 @@ def test_plan_reuse_leaves_results_unchanged(gallery):
 
 def test_plan_arrays_are_read_only():
     plan = contour._plan(tuple(_decomposition_paths()))
-    arrays = [plan.path_of, plan.shares, *plan.table, *plan.nodes, plan.evaluations]
+    arrays = [plan.path_of, plan.shares, *plan.table, *plan.nodes, plan.evaluations, plan.columns]
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0
@@ -520,6 +539,106 @@ def test_decomposition_contours_looked_up_once_per_call(monkeypatch):
     monkeypatch.setattr(contour, "_plan", lambda paths: calls.append(paths))
     annular_decomposition(GalleryFunction(poly_coeffs=(0, 0, 1)), -0.1, CONE, M=1, N=10)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The level-0 values of f, kept per (f, plan)
+
+GRID_XS = [complex(v) for v in -np.geomspace(0.35, 0.005, 10)]  # acceptance 1 and 2
+
+
+def test_level0_memo_leaves_results_unchanged(gallery):
+    cases = [(gallery[i], x) for i in (1, 8, 15, 19) for x in GRID_XS[::3]]
+    for f, x in cases:
+        annular_decomposition(f, x, CONE, M=1, N=10)
+    warm = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)) for f, x in cases]
+    cold = []
+    for f, x in cases:
+        contour._level0_values.cache_clear()
+        cold.append(_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)))
+    assert cold == warm
+
+
+def test_level0_points_evaluated_once_per_function_and_plan(gallery, monkeypatch):
+    f = gallery[15]
+    _, plan = contour._decomposition_contours(CONE, 1, 10)
+    z0 = plan.nodes[0].ravel()
+    assert len(z0) == 1890  # 42 primitives, 3 panels of 15 points each
+    contour._level0_values.cache_clear()
+    calls = []
+    call = GalleryFunction.__call__
+
+    def spy(self, z):
+        calls.append(np.array(z))
+        return call(self, z)
+
+    monkeypatch.setattr(GalleryFunction, "__call__", spy)
+    reports = [annular_decomposition(f, x, CONE, M=1, N=10) for x in GRID_XS]
+    arrays = [z for z in calls if z.ndim]
+    assert sum(z.shape == z0.shape and (z == z0).all() for z in arrays) == 1
+    # besides them, f sees the refined points of each x, and x itself
+    refined = sum(r.evaluations - len(z0) for r in reports)
+    assert refined > 0 and sum(z.size for z in arrays) == len(z0) + refined
+    assert len(calls) - len(arrays) == len(GRID_XS)
+
+
+def test_paths_together_past_the_budget_each_within_it(monkeypatch):
+    # a pole just outside the circle 2^-2 refines the D_1 and D_2 boundaries
+    f, x = GalleryFunction(rational_terms=((0.26, 0.01),)), -0.1
+    paths = _decomposition_paths()
+
+    def integrand(z):
+        return f(z) / (z * (z - x))
+
+    tol = 1e-10 / len(paths)
+    single = [integrate_contour(path, integrand, tol=tol) for path in paths]
+    refined = [(r.evaluations - 45 * len(p.segments)) // 30 for r, p in zip(single, paths)]
+    report = _report_bits(annular_decomposition(f, x, CONE, M=1, N=10))
+    budget = max(refined)
+    assert sum(refined) > budget
+    monkeypatch.setattr(contour, "_MAX_PANELS", budget)
+    assert [_result_bits(r) for r in _many(paths, integrand, tol)] == [
+        _result_bits(r) for r in single
+    ]
+    assert _report_bits(annular_decomposition(f, x, CONE, M=1, N=10)) == report
+    # one panel fewer and the widest path fails on its own budget
+    monkeypatch.setattr(contour, "_MAX_PANELS", budget - 1)
+    with pytest.raises(ToleranceError, match="budget"):
+        _many(paths, integrand, tol)
+
+
+def test_path_total_starts_from_zero(monkeypatch):
+    # numpy's panel sums are never -0.0, but the totals must not rest on it:
+    # with every primitive's sum -0.0 - 0.0j, a Python sum from 0j gives 0j
+    def panel_sums(nodes, values):
+        return np.full(nodes[0].shape[:-1], complex(-0.0, -0.0))
+
+    monkeypatch.setattr(contour, "_panel_sums", panel_sums)
+    paths = [full_circle(0j, 1.0), build_keyhole(CONE, N=10, M=1)]  # 2 and 4 primitives
+    totals = []
+    for path in paths:
+        total = 0j
+        for _ in path.segments:
+            total += complex(-0.0, -0.0)
+        totals.append(total)
+    assert [_bits(r.value) for r in _many(paths, lambda z: z, 1e-10)] == [_bits(t) for t in totals]
+    assert _bits(integrate_contour(paths[0], lambda z: z).value) == _bits(totals[0])
+
+
+def test_level0_memo_is_read_only_and_small(domain):
+    # the benchmark's grid: 27 functions, 10 ray points each
+    contour._level0_values.cache_clear()
+    gallery = build_test_gallery(domain, 27)
+    for f in gallery:
+        for x in GRID_XS:
+            annular_decomposition(f, x, CONE, M=1, N=10)
+    info = contour._level0_values.cache_info()
+    assert info.misses == len(gallery) and info.hits == len(gallery) * (len(GRID_XS) - 1)
+    _, plan = contour._decomposition_contours(CONE, 1, 10)
+    values = contour._level0_values(gallery[-1], plan)
+    with pytest.raises(ValueError):
+        values[...] = 0
+    assert info.currsize * values.nbytes <= 1e6
 
 
 # ---------------------------------------------------------------------------
