@@ -2,7 +2,6 @@
 functions on planar Swiss-cheese domains."""
 
 from .geometry import (
-    AnnularSectorRegion,
     ClippedPiece,
     ConeSpec,
     Disk,
@@ -11,22 +10,16 @@ from .geometry import (
     Ray,
     SwissCheeseDomain,
     annulus_complement,
-    annulus_minus_cone_region,
-    annulus_radii,
     validate_cone,
     verify_interior_cone,
 )
 from .content import (
-    ContentEstimate,
     ContentError,
     disjoint_disk_content,
     greedy_cover_upper,
 )
 from .criterion import (
     BPD_SUFFICIENT,
-    DIVERGENT_UPPER_BOUND,
-    INCONCLUSIVE,
-    CriterionReport,
     RoadrunnerFamily,
     lord_ofarrell_series,
     parametric_verdict,
@@ -35,21 +28,12 @@ from .criterion import (
 from .lipschitz import (
     GalleryError,
     GalleryFunction,
-    SeminormEstimate,
     build_test_gallery,
     conjugate_function,
-    disk_cauchy_transform,
-    little_lip_modulus,
     seminorm_estimate,
 )
 from .contour import (
-    Arc,
     ContourError,
-    ContourPath,
-    DecompositionReport,
-    LemmaCheckReport,
-    QuadratureResult,
-    Segment,
     ToleranceError,
     annular_decomposition,
     build_annular_piece,
@@ -62,13 +46,8 @@ from .contour import (
 )
 from .experiments import (
     CONVERGED,
-    NOT_CONVERGED,
-    FunctionalSweepReport,
-    LimitExperimentReport,
     functional_sweep,
-    hole_hugging_curve,
     nontangential_limit,
-    tangential_probe,
 )
 
 __version__ = "0.1.0"

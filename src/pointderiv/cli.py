@@ -240,6 +240,9 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
         x_scale_index = int(cont.get("x_scale_index", 2))
     with _section("lemma"):
         lemma_radii = [float(x) for x in raw.get("lemma", {}).get("radii", [0.4, 0.2, 0.1])]
+    for i, r in enumerate(lemma_radii):
+        if not 0.0 < r < math.inf:
+            raise ConfigError(f"lemma.radii[{i}] must be finite and positive, got {r}")
     with _section("seed"):
         seed = int(raw.get("seed", 0))
     if seed_override is not None:

@@ -12,14 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import disjoint_disk_content
 from .geometry import (
-    AnnularSectorRegion,
-    ClippedPiece,
     ConeSpec,
-    Disk,
     DiskRegion,
-    GeometryError,
     annulus_minus_cone_region,
     annulus_radii,
 )
@@ -134,8 +129,8 @@ class ContourPath:
         if self.check_simple:
             self._check_simple()
 
-    def _check_simple(self, samples: int = 48):
-        ts = np.linspace(0.0, 1.0, samples)
+    def _check_simple(self):
+        ts = np.linspace(0.0, 1.0, 48)
         pts = [p.point(ts) for p in self.segments]
         n = len(pts)
         scale = max(float(np.abs(q).max()) for q in pts) or 1.0
@@ -365,31 +360,31 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
     path that reaches level 48 within its budget fails on the panel the
     depth-first recursion fails on.
     """
-    values, errors, evaluations = _integrate_many([path], integrand, tol)
+    values, errors, evaluations = _integrate_many(_plan((path,)), integrand, tol)
     return QuadratureResult(complex(values[0]), float(errors[0]), int(evaluations[0]))
 
 
-def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None, values0=None):
-    """`integrate_contour(path, integrand, tol)` for each path, in one loop:
-    arrays of the values, error estimates and evaluations of the paths.
+def _integrate_many(plan: _Plan, integrand, tol: float, values0=None):
+    """`integrate_contour(path, integrand, tol)` for each path of the memoised
+    `_plan` of a path set, in one loop: arrays of the values, error estimates
+    and evaluations of the paths.
 
     Each refinement level sends the panels of every path to `integrand` in
     one call.  A path keeps its own tolerance shares, tree-order sums and
     panel budget, and every panel sum is reduced on its own, so each result
     is bitwise the one of a call for its path alone.  A path that fails
-    stops refining, and so does every later path in `paths`: the
+    stops refining, and so does every later path of the set: the
     `ToleranceError` raised is that of the first failing path, as in a loop
     of single calls.  What depends only on the paths, up to the nodes of
-    level 0 and the bank of shallow panel nodes, comes from their memoised
-    `_plan`, which a caller that holds it passes as `plan`.  A caller that
-    already holds the integrand's values at the flattened level-0 nodes
-    `plan.nodes[0]` passes them as `values0`, in place of the first call.
+    level 0 and the bank of shallow panel nodes, comes from the plan.  A
+    caller that already holds the integrand's values at the flattened
+    level-0 nodes `plan.nodes[0]` passes them as `values0`, in place of the
+    first call.
     """
     if not 0 < tol < math.inf:
         raise ContourError(f"tolerance must be positive and finite, got {tol}")
-    if plan is None:
-        plan = _plan(tuple(paths))
     path_of = plan.path_of
+    n_paths = len(plan.evaluations)
     # the panels of a level: primitive, index k of [k, k + 1] 2^-level, tolerance
     n = len(path_of)
     idx, k, ptol = np.arange(n), np.zeros(n, np.int64), tol * plan.shares
@@ -404,7 +399,7 @@ def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None, val
     def refined_per_path():
         if not levels:
             return 0
-        return np.bincount(path_of[np.concatenate(levels)], minlength=len(paths))
+        return np.bincount(path_of[np.concatenate(levels)], minlength=n_paths)
 
     failure = None
     level = 0
@@ -420,7 +415,7 @@ def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None, val
         # no path can pass its budget while all of them together stay within it
         if count and (level >= _MAX_DEPTH or refined + count > _MAX_PANELS):
             pid = path_of[idx]
-            counts = 2 * np.bincount(pid[split], minlength=len(paths))
+            counts = 2 * np.bincount(pid[split], minlength=n_paths)
             over = (counts > 0) & ((level >= _MAX_DEPTH) | (refined_per_path() + counts > _MAX_PANELS))
             if over.any():
                 # this path and every later one stop; an earlier one may still fail
@@ -462,7 +457,7 @@ def _integrate_many(paths, integrand, tol: float, plan: _Plan | None = None, val
     # each path's primitives added in order, from 0 as a Python sum would:
     # 0 + -0.0 is 0.0, and the zero pad leaves a total that is never -0.0
     fine, err = np.append(fines[0], 0.0), np.append(errs[0], 0.0)
-    values, errors = np.zeros(len(paths), complex), np.zeros(len(paths))
+    values, errors = np.zeros(n_paths, complex), np.zeros(n_paths)
     for col in plan.columns:
         values += fine[col]
         errors += err[col]
@@ -523,12 +518,6 @@ def build_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
 
 
 @functools.lru_cache(maxsize=256)
-def _clockwise_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
-    """`build_annular_piece(n, cone)` traversed clockwise, built once."""
-    return build_annular_piece(n, cone).reversed()
-
-
-@functools.lru_cache(maxsize=256)
 def full_circle(center: complex, radius: float) -> ContourPath:
     half1 = Arc(center, radius, 0.0, math.pi)
     half2 = Arc(center, radius, math.pi, 2.0 * math.pi)
@@ -536,14 +525,13 @@ def full_circle(center: complex, radius: float) -> ContourPath:
 
 
 @functools.lru_cache(maxsize=64)
-def _decomposition_contours(cone: ConeSpec, M: int, N: int) -> tuple[tuple[ContourPath, ...], _Plan]:
-    """The paths of `annular_decomposition`, each D_n boundary clockwise for
-    M <= n <= N (none if N == M) and then the circle of radius 2^-M, with
-    their plan: one lookup per decomposition instead of one per path."""
+def _decomposition_contours(cone: ConeSpec, M: int, N: int) -> _Plan:
+    """The plan of the paths of `annular_decomposition`, each D_n boundary
+    clockwise for M <= n <= N (none if N == M) and then the circle of radius
+    2^-M: one lookup per decomposition instead of one per path."""
     annuli = [] if N == M else range(M, N + 1)
-    paths = tuple(_clockwise_annular_piece(n, cone) for n in annuli)
-    paths += (full_circle(cone.vertex, 2.0**-M),)
-    return paths, _plan(paths)
+    paths = tuple(build_annular_piece(n, cone).reversed() for n in annuli)
+    return _plan(paths + (full_circle(cone.vertex, 2.0**-M),))
 
 
 @functools.lru_cache(maxsize=32)
@@ -695,10 +683,10 @@ def annular_decomposition(
 
     annuli = [] if N == M else list(range(M, N + 1))
     term_tol = tol / (len(annuli) + 1)
-    paths, plan = _decomposition_contours(cone, M, N)
+    plan = _decomposition_contours(cone, M, N)
     z0 = plan.nodes[0].ravel()
     values0 = _level0_values(f, plan) / ((z0 - v) * (z0 - x))
-    values, errors, evaluations = _integrate_many(paths, integrand, term_tol, plan, values0)
+    values, errors, evaluations = _integrate_many(plan, integrand, term_tol, values0)
     values = values.tolist()
     terms = [(n, value / (2j * math.pi)) for n, value in zip(annuli, values)]
     circle_term = values[-1] / (2j * math.pi)
@@ -728,21 +716,6 @@ class LemmaCheckReport:
     err_to_tol: float  # its error estimate over the tolerance
 
 
-def _region_content_upper(region, alpha: float) -> float:
-    if isinstance(region, DiskRegion):
-        piece = ClippedPiece(
-            hole=Disk(region.center, region.radius),
-            annulus_center=region.center,
-            n=1,
-            r_inner=0.0,
-            r_outer=region.radius,
-            is_whole=True,
-        )
-        return disjoint_disk_content([piece], alpha).upper
-    # conservative fallback: one ball of the region diameter
-    return region.diameter() ** (1.0 + alpha)
-
-
 def lemma_cauchy_bound_check(
     f,
     path: ContourPath,
@@ -754,16 +727,22 @@ def lemma_cauchy_bound_check(
 ) -> LemmaCheckReport:
     """Empirical ratio kappa_hat = |contour integral| / (content * seminorm).
 
-    Scale and rotation invariance of kappa_hat across congruent setups is the
-    quantity of interest; the absolute value carries no certified meaning.
+    The content is that of one ball of the region's diameter.  Scale and
+    rotation invariance of kappa_hat across congruent setups is the quantity
+    of interest; the absolute value carries no certified meaning.
     """
     if not path.closed:
         raise ContourError("lemma check needs a closed path")
     if not path.cusp_free:
         raise ContourError("lemma check requires a cusp-free path")
-    res = integrate_contour(path, f if callable(f) else f.__call__, tol=tol)
+    if not 0.0 < alpha < 1.0:
+        raise ContourError(f"alpha must lie in (0,1), got {alpha}")
+    diam = region.diameter()
+    if not 0.0 < diam < math.inf:
+        raise ContourError(f"region diameter must be positive and finite, got {diam}")
+    content = diam ** (1 + alpha)
+    res = integrate_contour(path, f, tol=tol)
     mag = abs(res.value)
-    content = _region_content_upper(region, alpha)
     sem = seminorm_estimate(f, region, alpha, pair_count=pair_count, seed=seed).value
     kappa = mag / (content * sem) if content > 0 and sem > 0 else 0.0
     return LemmaCheckReport(

@@ -1,6 +1,5 @@
-"""End-to-end difference-quotient experiments: non-tangential limits,
-uniform-boundedness sweeps of the quotient functionals, and descriptive
-tangential probes.
+"""End-to-end difference-quotient experiments: non-tangential limits and
+uniform-boundedness sweeps of the quotient functionals.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ class LimitExperimentReport:
     estimated_limit: complex
     convergence_order: float
     verdict: str
-    note: str = ""
 
 
 def _fit_order(xs: np.ndarray, devs: np.ndarray) -> float:
@@ -51,15 +49,13 @@ def _limit_report(
     samples: list[tuple[complex, complex]],
     df: complex,
     limit_tol: float,
-    note: str = "",
-    assert_verdict: bool = True,
 ) -> LimitExperimentReport:
     rows = tuple((x, q, abs(q - df)) for x, q in samples)
     devs = np.array([d for _, _, d in rows])
     xs = np.array([abs(x) for x, _, _ in rows])
     order = _fit_order(xs[-5:], devs[-5:]) if len(rows) >= 5 else math.nan
     tol_abs = limit_tol * (abs(df) if abs(df) > 0 else 1.0)
-    if not assert_verdict or len(rows) < 5:
+    if len(rows) < 5:
         # a verdict reads the last 5 samples
         verdict = INCONCLUSIVE
     else:
@@ -79,32 +75,37 @@ def _limit_report(
         estimated_limit=samples[-1][1],
         convergence_order=order,
         verdict=verdict,
-        note=note,
     )
 
 
-def _ray_points(ray: Ray, scales: int) -> list[complex]:
-    """The dyadic ray samples at distances length * 2^-j, j = 0..scales."""
-    return [ray.point(ray.length * 2.0**-j) for j in range(scales + 1)]
+def _ray_points(domain: SwissCheeseDomain, ray: Ray, scales: int) -> list[complex]:
+    """The dyadic ray samples at distances length * 2^-j, j = 0..scales.
+
+    Raises GeometryError unless the ray starts at the base point and misses
+    every hole (`verify_interior_cone`), every sample lies in U and no
+    sample is the base point, where a difference quotient divides by zero.
+    """
+    verify_interior_cone(domain, ray)
+    xs = [ray.point(ray.length * 2.0**-j) for j in range(scales + 1)]
+    for x in xs:
+        if x == domain.base_point:
+            raise GeometryError(f"ray sample {x} is the base point")
+        if not domain.contains(x):
+            raise GeometryError(f"ray sample {x} lies outside the domain")
+    return xs
 
 
 def _nontangential_limits(
     gallery: list[GalleryFunction],
     domain: SwissCheeseDomain,
     ray: Ray,
-    scales: int = 20,
-    limit_tol: float = LIMIT_TOL_DEFAULT,
+    scales: int,
+    limit_tol: float,
 ) -> list[LimitExperimentReport]:
     """`nontangential_limit` of each gallery function; the ray is checked
     and sampled once, and each f is evaluated on all samples in one call."""
     x0 = domain.base_point
-    if ray.origin != x0:
-        raise GeometryError("ray must start at the domain base point")
-    verify_interior_cone(domain, ray)  # rejects rays crossing a hole
-    xs = _ray_points(ray, scales)
-    for x in xs:
-        if not domain.contains(x):
-            raise GeometryError(f"ray sample {x} lies outside the domain")
+    xs = _ray_points(domain, ray, scales)
     reports = []
     for f in gallery:
         df = f.derivative(x0)
@@ -152,7 +153,7 @@ def functional_sweep(
     x0 = domain.base_point
     region = DiskRegion(domain.outer.center, domain.outer.radius)
     pairs = _seminorm_pairs(region, alpha, pair_count, seed)
-    xs = _ray_points(ray, scales)
+    xs = _ray_points(domain, ray, scales)
     rows = []
     skipped = []
     for i, f in enumerate(gallery):
@@ -170,60 +171,3 @@ def functional_sweep(
     return FunctionalSweepReport(
         grid=tuple(rows), max_ratio=max_ratio, skipped=tuple(skipped)
     )
-
-
-def tangential_probe(
-    f: GalleryFunction,
-    domain: SwissCheeseDomain,
-    curve,
-    scales: int = 20,
-    limit_tol: float = LIMIT_TOL_DEFAULT,
-) -> LimitExperimentReport:
-    """Difference quotients along a tangential approach curve.
-
-    `curve` maps t in (0, 1] to a point of U approaching the base point as
-    t -> 0.  Output is descriptive only; no theorem is asserted, so the
-    verdict is always INCONCLUSIVE.
-    """
-    x0 = domain.base_point
-    df = f.derivative(x0)
-    samples = []
-    for j in range(scales + 1):
-        x = curve(2.0**-j)
-        if not domain.contains(x):
-            raise GeometryError(f"curve sample {x} lies outside the domain")
-        q = (f(x) - f(x0)) / (x - x0)
-        samples.append((x, q))
-    return _limit_report(
-        samples, df, limit_tol, note="tangential probe: descriptive only",
-        assert_verdict=False,
-    )
-
-
-def hole_hugging_curve(domain: SwissCheeseDomain, margin_decay: float = 0.5):
-    """Approach along the positive hole axis, squeezing toward hole boundaries.
-
-    Returns a curve t -> x(t) whose distance to the nearest hole shrinks
-    faster than |x|, making the approach tangential for roadrunner domains.
-    """
-    holes = sorted(domain.holes, key=lambda h: -abs(h.center - domain.base_point))
-    if not holes:
-        raise GeometryError("hole-hugging curve needs at least one hole")
-    x0 = domain.base_point
-    d_outer = abs(holes[0].center - x0)
-    inner = holes[-1]
-    d_floor = (abs(inner.center - x0) - inner.radius) * 0.5
-    u_axis = (holes[0].center - x0) / d_outer
-
-    def curve(t: float) -> complex:
-        target = d_outer * t
-        if target <= d_floor:
-            # below the truncated hole scales: finish radially into the vertex
-            return x0 + target * u_axis
-        best = min(holes, key=lambda h: abs(abs(h.center - x0) - target))
-        d = abs(best.center - x0)
-        u = (best.center - x0) / d
-        gap = (d - best.radius) * margin_decay * t
-        return best.center - (best.radius + max(gap, d * 1e-9)) * u
-
-    return curve

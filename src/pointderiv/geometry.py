@@ -437,11 +437,7 @@ class DiskRegion:
         phi = 2.0 * math.pi * rng.random(count)
         return self.center + r * np.exp(1j * phi)
 
-    def boundary_points(self, count: int = 32) -> np.ndarray:
-        th = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        return self.center + self.radius * np.exp(1j * th)
-
-    def extremal_pairs(self, count: int = 16) -> list[tuple[complex, complex]]:
+    def extremal_pairs(self, count: int) -> list[tuple[complex, complex]]:
         th = np.linspace(0.0, math.pi, count, endpoint=False)
         return [
             (
@@ -497,20 +493,11 @@ class AnnularSectorRegion:
         ]
         return np.concatenate(pts)
 
-    def extremal_pairs(self, count: int = 16) -> list[tuple[complex, complex]]:
+    def extremal_pairs(self, count: int) -> list[tuple[complex, complex]]:
         b = self.boundary_points(max(count, 16))
         # pair opposite-index boundary points; sup pairs are among these
         half = len(b) // 2
         return [(complex(b[i]), complex(b[i + half])) for i in range(half)]
-
-    def scaled(self, lam: float) -> "AnnularSectorRegion":
-        return AnnularSectorRegion(
-            lam * self.center,
-            lam * self.r_inner,
-            lam * self.r_outer,
-            self.angle_start,
-            self.angle_span,
-        )
 
 
 def annulus_minus_cone_region(cone: ConeSpec, n: int) -> AnnularSectorRegion:

@@ -207,47 +207,6 @@ def seminorm_estimate(
     )
 
 
-def little_lip_modulus(
-    f,
-    region,
-    alpha: float,
-    deltas,
-    pairs_per_delta: int = 2000,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Table of (delta, max ratio at separations <= delta).
-
-    For the smooth gallery functions the entries decay like delta^(1-alpha).
-    """
-    deltas = list(deltas)
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise GalleryError("deltas must be strictly decreasing")
-    rng = np.random.default_rng(seed)
-    out = []
-    for delta in deltas:
-        base = region.sample(pairs_per_delta, rng)
-        # bias toward the maximal admissible separation, where the sup lives
-        sep = delta * np.concatenate(
-            [
-                np.full(pairs_per_delta // 2, 1.0),
-                rng.random(pairs_per_delta - pairs_per_delta // 2),
-            ]
-        )
-        phi = 2.0 * math.pi * rng.random(pairs_per_delta)
-        cand = base + sep * np.exp(1j * phi)
-        ok = region.contains_many(cand)
-        z, w = base[ok], cand[ok]
-        d = np.abs(z - w)
-        keep = d > 0
-        z, w, d = z[keep], w[keep], d[keep]
-        if len(z) == 0:
-            out.append((float(delta), 0.0))
-            continue
-        ratio = np.abs(np.asarray(f(z)) - np.asarray(f(w))) / d**alpha
-        out.append((float(delta), float(ratio.max())))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gallery construction for a Swiss-cheese domain
 

@@ -88,9 +88,11 @@ def test_bad_json_exit_2(tmp_path, capsys):
     assert run("criterion", p, tmp_path / "o") == 2
 
 
-def test_ray_through_hole_exit_2(tmp_path):
+def test_ray_through_hole_exit_2(tmp_path, capsys):
     p = write_config(tmp_path, {"ray": {"direction": 0.0, "length": 0.25}})
-    assert run("limit", p, tmp_path / "o") == 2
+    for command in ("limit", "sweep"):
+        assert run(command, p, tmp_path / "o") == 2
+        assert "ray passes through hole" in capsys.readouterr().err
 
 
 def test_limit_command(tmp_path, capsys):
@@ -189,7 +191,7 @@ def test_decompose_manifest_counts_evaluations(tmp_path):
     cfg = load_config(p)
     f, cone, v = cfg.gallery[0], cfg.cone, cfg.cone.vertex
     x = cfg.ray.point(0.75 * cfg.ray.length * 2.0**-cfg.x_scale_index)
-    paths = [contour._clockwise_annular_piece(n, cone) for n in range(1, 11)]
+    paths = [contour.build_annular_piece(n, cone).reversed() for n in range(1, 11)]
     paths.append(contour.full_circle(v, 0.5))
     results = [
         contour.integrate_contour(path, lambda z: f(z) / ((z - v) * (z - x)), tol=1e-10 / 11)
@@ -635,6 +637,16 @@ def test_ray_sample_on_base_point_exits_2(tmp_path, capsys, command):
     assert run(command, p, tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "ray.scales" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("radius", [0, -0.1, "nan"])
+def test_lemma_radius_must_be_finite_and_positive(tmp_path, capsys, radius):
+    # "nan" used to spend the whole panel budget and exit 3
+    p = write_config(tmp_path, {"lemma": {"radii": [0.4, radius]}})
+    assert run("lemma-check", p, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lemma.radii[1]" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

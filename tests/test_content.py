@@ -12,11 +12,11 @@ from pointderiv import (
     Disk,
     SwissCheeseDomain,
     annulus_complement,
-    annulus_radii,
     disjoint_disk_content,
     greedy_cover_upper,
 )
 from pointderiv.content import _ring_mask
+from pointderiv.geometry import annulus_radii
 
 
 def _whole_disk_pieces(*disks):

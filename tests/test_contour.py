@@ -7,16 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointderiv import (
-    Arc,
     ConeSpec,
     ContourError,
-    ContourPath,
     Disk,
     DiskRegion,
     GalleryFunction,
-    Segment,
     annular_decomposition,
-    annulus_radii,
     build_annular_piece,
     build_keyhole,
     build_test_gallery,
@@ -28,7 +24,16 @@ from pointderiv import (
     quotient_via_cauchy,
 )
 from pointderiv import contour
-from pointderiv.contour import _GL_NODES, _GL_WEIGHTS, ToleranceError, default_inner_index
+from pointderiv.contour import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    Arc,
+    ContourPath,
+    Segment,
+    ToleranceError,
+    default_inner_index,
+)
+from pointderiv.geometry import annulus_minus_cone_region, annulus_radii
 
 CONE = ConeSpec(vertex=0j, direction=math.pi, half_angle=math.pi / 6, length=0.5, k=0.45)
 
@@ -90,18 +95,19 @@ def _slice_calls(monkeypatch, batch):
     many = contour._integrate_many
     step = 2 * len(_GL_NODES) * batch
 
-    def sliced(paths, integrand, *args):
+    def sliced(plan, integrand, *args):
         def f(z):
             return np.concatenate([integrand(z[i : i + step]) for i in range(0, len(z), step)])
 
-        return many(paths, f, *args)
+        return many(plan, f, *args)
 
     monkeypatch.setattr(contour, "_integrate_many", sliced)
 
 
-def _many(paths, integrand, tol, plan=None):
-    """The results of `_integrate_many` as `integrate_contour` gives them."""
-    values, errors, evaluations = contour._integrate_many(paths, integrand, tol, plan)
+def _many(paths, integrand, tol):
+    """The results of `_integrate_many` on the paths' plan as
+    `integrate_contour` gives them."""
+    values, errors, evaluations = contour._integrate_many(contour._plan(tuple(paths)), integrand, tol)
     return [
         contour.QuadratureResult(complex(v), float(e), int(c))
         for v, e, c in zip(values, errors, evaluations)
@@ -328,7 +334,7 @@ def test_pole_near_decomposition_circle_certifies_or_fails_within_budget(side, l
     # in the hole (centre 0.25, radius 0.075) of a valid explicit config
     f = GalleryFunction(rational_terms=((0.25 * (1.0 + side * 10.0**log_offset), 1.0),))
     x = complex(-0.75 * 0.25 * 0.25)
-    _, plan = contour._decomposition_contours(CONE, 1, 10)
+    plan = contour._decomposition_contours(CONE, 1, 10)
     refined = np.zeros(len(plan.evaluations), int)  # panels beyond level 0, per path
     level_nodes = contour._level_nodes
 
@@ -355,7 +361,7 @@ def test_pole_near_decomposition_circle_certifies_or_fails_within_budget(side, l
 
 def _decomposition_paths(M=1, N=10):
     """The D_M..D_N boundaries and the circle of `annular_decomposition`."""
-    paths = [contour._clockwise_annular_piece(n, CONE) for n in range(M, N + 1)]
+    paths = [build_annular_piece(n, CONE).reversed() for n in range(M, N + 1)]
     return paths + [full_circle(0j, 2.0**-M)]
 
 
@@ -432,7 +438,7 @@ def test_integrate_many_failure_is_that_of_the_path_alone(name):
     # the failing path spends its budget while the others converge at once
     for paths in ([FAILING[name]], [ok, FAILING[name], ok, ok], [ok, ok, FAILING[name]]):
         with pytest.raises(ToleranceError) as err:
-            contour._integrate_many(paths, _two_poles, 1e-10)
+            _many(paths, _two_poles, 1e-10)
         assert _error_bits(err.value) == solo
 
 
@@ -442,7 +448,7 @@ def test_integrate_many_raises_first_failing_path():
     assert _solo_error(one) != _solo_error(three)
     for first, second in ((one, three), (three, one)):
         with pytest.raises(ToleranceError) as err:
-            contour._integrate_many([ok, first, ok, second], _two_poles, 1e-10)
+            _many([ok, first, ok, second], _two_poles, 1e-10)
         assert _error_bits(err.value) == _solo_error(first)
 
 
@@ -467,7 +473,7 @@ def test_integrate_many_caps_each_path_on_its_own():
             calls.append(len(z))
             return 1.0 / (z - 0.999)
 
-        contour._integrate_many(paths, integrand, 1e-13)
+        _many(paths, integrand, 1e-13)
         return calls
 
     wide = full_circle(0j, 1.0)
@@ -531,10 +537,10 @@ def test_plan_arrays_are_read_only():
 
 
 def test_decomposition_contours_looked_up_once_per_call(monkeypatch):
-    # one memoised (cone, M, N) lookup gives the paths and their plan
-    paths, plan = contour._decomposition_contours(CONE, 1, 10)
-    assert list(paths) == _decomposition_paths() and plan is contour._plan(paths)
-    assert contour._decomposition_contours(CONE, 1, 10)[1] is plan
+    # one memoised (cone, M, N) lookup gives the plan of the paths
+    plan = contour._decomposition_contours(CONE, 1, 10)
+    assert plan is contour._plan(tuple(_decomposition_paths()))
+    assert contour._decomposition_contours(CONE, 1, 10) is plan
     calls = []
     monkeypatch.setattr(contour, "_plan", lambda paths: calls.append(paths))
     annular_decomposition(GalleryFunction(poly_coeffs=(0, 0, 1)), -0.1, CONE, M=1, N=10)
@@ -561,7 +567,7 @@ def test_level0_memo_leaves_results_unchanged(gallery):
 
 def test_level0_points_evaluated_once_per_function_and_plan(gallery, monkeypatch):
     f = gallery[15]
-    _, plan = contour._decomposition_contours(CONE, 1, 10)
+    plan = contour._decomposition_contours(CONE, 1, 10)
     z0 = plan.nodes[0].ravel()
     assert len(z0) == 1890  # 42 primitives, 3 panels of 15 points each
     contour._level0_values.cache_clear()
@@ -634,7 +640,7 @@ def test_level0_memo_is_read_only_and_small(domain):
             annular_decomposition(f, x, CONE, M=1, N=10)
     info = contour._level0_values.cache_info()
     assert info.misses == len(gallery) and info.hits == len(gallery) * (len(GRID_XS) - 1)
-    _, plan = contour._decomposition_contours(CONE, 1, 10)
+    plan = contour._decomposition_contours(CONE, 1, 10)
     values = contour._level0_values(gallery[-1], plan)
     with pytest.raises(ValueError):
         values[...] = 0
@@ -708,7 +714,7 @@ def test_bank_rows_are_panel_nodes(name, monkeypatch):
         # poles just off the circles 2^-2 and 2^-1 and the small circle 2^-10
         return 1.0 / (z - 0.26) + 1.0 / (z + 0.52) + 1.0 / (z - 0.00101)
 
-    contour._integrate_many(paths, integrand, 1e-10, plan)
+    contour._integrate_many(plan, integrand, 1e-10)
     _check_levels(levels)
     assert 0 < filled.sum() < len(filled)
     # the level loop's rows, and the rest filled by one call per level
@@ -750,10 +756,10 @@ def test_decomposition_bits_without_bank(batch, gallery, monkeypatch):
 def test_decomposition_bank_memory_bound():
     # the bank is allocated zeroed and filled a row at a time, so its
     # allocated bytes bound what of it can become resident
-    _, plan = contour._decomposition_contours(CONE, 1, 10)
+    plan = contour._decomposition_contours(CONE, 1, 10)
     assert sum(a.nbytes for a in plan.bank) <= 0.65e6
     fresh = contour._plan.__wrapped__(tuple(_decomposition_paths()))
-    contour._integrate_many(_decomposition_paths(), lambda z: 0.0 * z, 1e-10, fresh)
+    contour._integrate_many(fresh, lambda z: 0.0 * z, 1e-10)
     assert not fresh.bank[3].any()  # no panel was refined, no row filled
 
 
@@ -874,8 +880,8 @@ def test_decomposition_reverses_each_piece_once(monkeypatch):
     annular_decomposition(f, -0.1, cone, M=2, N=5, tol=1e-10)
     again = annular_decomposition(f, -0.05, cone, M=2, N=5, tol=1e-10)
     assert len(reversals) == 4 and again.residual <= 2e-10
-    path = contour._clockwise_annular_piece(3, cone)
-    assert path.segments == reverse(build_annular_piece(3, cone)).segments
+    paths = tuple(reverse(build_annular_piece(n, cone)) for n in range(2, 6))
+    assert contour._decomposition_contours(cone, 2, 5) is contour._plan(paths + (full_circle(0j, 0.25),))
 
 
 def test_decomposition_single_circle_reduction():
@@ -986,6 +992,24 @@ def test_lemma_check_requires_closed_path():
     open_path = ContourPath((Segment(0, 1),), closed=False)
     with pytest.raises(ContourError):
         lemma_cauchy_bound_check(conjugate_function(), open_path, DiskRegion(0j, 1.0), 0.5)
+
+
+@pytest.mark.parametrize(
+    "region, alpha, match",
+    [
+        (DiskRegion(0j, 0.3), 0.0, "alpha"),
+        (DiskRegion(0j, 0.3), 1.0, "alpha"),
+        (annulus_minus_cone_region(CONE, 2), 0.0, "alpha"),
+        (annulus_minus_cone_region(CONE, 2), 1.0, "alpha"),
+        (DiskRegion(0j, 0.0), 0.5, "diameter"),
+        (DiskRegion(0j, -0.1), 0.5, "diameter"),
+        (DiskRegion(0j, math.nan), 0.5, "diameter"),
+    ],
+    ids=["disk-0", "disk-1", "sector-0", "sector-1", "radius-0", "radius-neg", "radius-nan"],
+)
+def test_lemma_check_rejects_alpha_and_diameter(region, alpha, match):
+    with pytest.raises(ContourError, match=match):
+        lemma_cauchy_bound_check(conjugate_function(), full_circle(0j, 0.3), region, alpha)
 
 
 def test_kernel_ratio_zero_function():

@@ -4,8 +4,6 @@ import pytest
 
 from pointderiv import (
     BPD_SUFFICIENT,
-    DIVERGENT_UPPER_BOUND,
-    INCONCLUSIVE,
     Disk,
     RoadrunnerFamily,
     SwissCheeseDomain,
@@ -13,7 +11,7 @@ from pointderiv import (
     parametric_verdict,
     threshold_radius_ratio,
 )
-from pointderiv.criterion import CriterionError
+from pointderiv.criterion import DIVERGENT_UPPER_BOUND, INCONCLUSIVE, CriterionError
 
 
 def test_punctured_disk_all_zero():

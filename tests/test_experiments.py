@@ -10,10 +10,8 @@ from pointderiv import (
     Ray,
     build_test_gallery,
     functional_sweep,
-    hole_hugging_curve,
     nontangential_limit,
     seminorm_estimate,
-    tangential_probe,
 )
 from pointderiv.experiments import (
     INCONCLUSIVE,
@@ -90,6 +88,24 @@ def test_limit_ray_through_hole(domain):
     f = GalleryFunction(poly_coeffs=(0, 1))
     with pytest.raises(GeometryError):
         nontangential_limit(f, domain, Ray(0j, 0.0, 0.25))
+
+
+@pytest.mark.parametrize(
+    "ray, scales, match",
+    [
+        (Ray(0j, 0.0, 0.25), 20, "passes through hole"),
+        (Ray(0.1j, math.pi, 0.25), 20, "must start at the domain base point"),
+        (Ray(0j, math.pi, 0.25), 1100, "is the base point"),  # 0.25 * 2^-1100 is 0
+    ],
+    ids=["through-hole", "off-base", "underflow"],
+)
+def test_sweep_checks_its_ray_as_limit_does(domain, ray, scales, match):
+    # sweep used to tabulate quotients inside holes and to divide by zero
+    f = GalleryFunction(poly_coeffs=(0, 0, 1))
+    with pytest.raises(GeometryError, match=match):
+        nontangential_limit(f, domain, ray, scales=scales)
+    with pytest.raises(GeometryError, match=match):
+        functional_sweep([f], domain, ray, scales=scales)
 
 
 def test_sweep_identity_zero_functional(domain, ray):
@@ -174,43 +190,3 @@ def test_sweep_equals_per_function_seminorms(domain, ray, gallery):
         f = gallery[i]
         assert lx == abs(f(x) / x - f.derivative(0j))
         assert ratio == lx / sems[i]
-
-
-def test_tangential_probe_analytic(domain):
-    f = GalleryFunction(poly_coeffs=(0, 0, 1))
-    curve = hole_hugging_curve(domain)
-    rep = tangential_probe(f, domain, curve, scales=16)
-    assert rep.verdict == INCONCLUSIVE  # descriptive only, never asserted
-    assert "descriptive" in rep.note
-    assert abs(rep.estimated_limit - 0) <= 1e-3
-
-
-def test_tangential_probe_identity(domain):
-    f = GalleryFunction(poly_coeffs=(0, 1))
-    curve = hole_hugging_curve(domain)
-    rep = tangential_probe(f, domain, curve, scales=16)
-    assert all(abs(q - 1.0) <= 1e-12 for _, q, _ in rep.samples)
-
-
-def test_tangential_probe_ct_descriptive(domain):
-    f = GalleryFunction(ct_terms=((domain.holes[0], 1.0),))
-    curve = hole_hugging_curve(domain)
-    rep = tangential_probe(f, domain, curve, scales=16)
-    assert len(rep.samples) == 17
-    assert rep.verdict == INCONCLUSIVE
-
-
-def test_hole_hugging_curve_stays_inside(domain):
-    curve = hole_hugging_curve(domain)
-    for j in range(24):
-        assert domain.contains(curve(2.0**-j))
-
-
-def test_hole_hugging_curve_is_tangential(domain):
-    # distance to the boundary shrinks faster than |x| along the curve
-    curve = hole_hugging_curve(domain)
-    ratios = []
-    for j in range(2, 12):
-        x = curve(2.0**-j)
-        ratios.append(domain.boundary_distance(x) / abs(x))
-    assert min(ratios) < 0.05

@@ -14,12 +14,15 @@ from pointderiv import (
     Ray,
     SwissCheeseDomain,
     annulus_complement,
-    annulus_minus_cone_region,
-    annulus_radii,
     validate_cone,
     verify_interior_cone,
 )
-from pointderiv.geometry import _point_set_diameter, _unit_circle
+from pointderiv.geometry import (
+    _point_set_diameter,
+    _unit_circle,
+    annulus_minus_cone_region,
+    annulus_radii,
+)
 
 
 def test_disk_rejects_bad_radius():

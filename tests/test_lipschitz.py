@@ -10,11 +10,9 @@ from pointderiv import (
     GalleryFunction,
     build_test_gallery,
     conjugate_function,
-    disk_cauchy_transform,
-    little_lip_modulus,
     seminorm_estimate,
 )
-from pointderiv.lipschitz import GalleryError
+from pointderiv.lipschitz import GalleryError, disk_cauchy_transform
 
 CT_DISK = Disk(0.5, 0.125)
 
@@ -144,36 +142,6 @@ def test_seminorm_monotone_in_region():
 def test_seminorm_pair_count_validation():
     with pytest.raises(GalleryError):
         seminorm_estimate(lambda z: z, DiskRegion(0j, 1.0), 0.5, pair_count=10)
-
-
-def test_little_lip_modulus_conjugate():
-    # oracle: ratio at separation delta is exactly delta^0.5 for conj
-    f = conjugate_function()
-    table = little_lip_modulus(f, DiskRegion(0j, 1.0), 0.5, [0.04, 0.02, 0.01])
-    for delta, eps in table:
-        assert eps == pytest.approx(delta**0.5, rel=0.02)
-    assert table[-1][1] == pytest.approx(0.1, rel=0.02)
-    vals = [eps for _, eps in table]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_little_lip_modulus_halving():
-    f = GalleryFunction(poly_coeffs=(0, 1))
-    table = little_lip_modulus(f, DiskRegion(0j, 1.0), 0.5, [0.08, 0.04])
-    assert table[1][1] / table[0][1] == pytest.approx(2 ** -0.5, rel=0.03)
-
-
-def test_little_lip_modulus_constant():
-    table = little_lip_modulus(
-        lambda z: np.zeros_like(np.asarray(z, complex)),
-        DiskRegion(0j, 1.0), 0.5, [0.1, 0.05],
-    )
-    assert all(eps == 0.0 for _, eps in table)
-
-
-def test_little_lip_requires_decreasing():
-    with pytest.raises(GalleryError):
-        little_lip_modulus(lambda z: z, DiskRegion(0j, 1.0), 0.5, [0.01, 0.02])
 
 
 def test_build_test_gallery(domain, gallery):
