@@ -9,7 +9,6 @@ that records the run's settings.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import functools
 import json

@@ -179,7 +179,21 @@ class ContourPath:
 # ---------------------------------------------------------------------------
 # Adaptive quadrature
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# 15-point Gauss-Legendre nodes and weights on [-1, 1], bitwise those of
+# numpy.polynomial.legendre.leggauss(15); literals spare every import of the
+# package numpy.polynomial and its LAPACK eigenvalue call
+_GL_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_GL_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 _MAX_DEPTH = 48
 # Most panels a path refines beyond level 0, each at 2 * 15 integrand points.
 # The package's integrals refine a few thousand at most; a path that would
@@ -252,7 +266,7 @@ def _panel_sums(nodes, values) -> np.ndarray:
     """
     z, vel, half = nodes
     vals = np.asarray(values) * vel.ravel()
-    return half * np.sum(vals.reshape(z.shape) * _GL_WEIGHTS, axis=-1)
+    return half * np.add.reduce(vals.reshape(z.shape) * _GL_WEIGHTS, axis=-1)
 
 
 # The halves of the panels of every level below this one have their nodes
@@ -275,9 +289,6 @@ class _Plan:
     table: tuple  # `_primitive_table` of the primitives
     nodes: tuple  # `_panel_nodes` of each primitive's coarse, left and right panel
     evaluations: np.ndarray  # integrand points of level 0, per path
-    # row j holds each path's j-th primitive, or the primitive count (a zero
-    # pad) where the path has fewer
-    columns: np.ndarray
     # `_level_nodes` of panel k of level L on primitive i in row
     # i * _BANK_ROWS + 2^L - 2 + k, filled on first use: (z, velocities,
     # half-widths, filled)
@@ -304,12 +315,8 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
     table = _primitive_table(prims)
     nodes = _panel_nodes(table, np.arange(n), np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.5, 1.0]))
     path_of, shares = np.array(path_of), np.array(shares)
-    counts = np.bincount(path_of, minlength=len(paths))
-    evaluations = 3 * len(_GL_NODES) * counts
-    columns = np.full((counts.max(), len(paths)), n)
-    for k, (start, count) in enumerate(zip(np.cumsum(counts) - counts, counts)):
-        columns[:count, k] = np.arange(start, start + count)
-    for a in (path_of, shares, *table, *nodes, evaluations, columns):
+    evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
+    for a in (path_of, shares, *table, *nodes, evaluations):
         a.flags.writeable = False
     # the zeroed pages of rows never used need not become resident
     rows = n * _BANK_ROWS
@@ -319,16 +326,16 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
         np.zeros((rows, 2)),
         np.zeros(rows, bool),
     )
-    return _Plan(path_of, shares, table, nodes, evaluations, columns, bank)
+    return _Plan(path_of, shares, table, nodes, evaluations, bank)
 
 
-def _banked_nodes(plan: _Plan, idx: np.ndarray, k: np.ndarray, level: int) -> tuple:
+def _banked_nodes(plan: _Plan, row: np.ndarray, idx: np.ndarray, k: np.ndarray, level: int) -> tuple:
     """`_level_nodes` of the panels k of `level` on the primitives `idx`,
-    read from the plan's bank; 0 < level < `_BANK_DEPTH`.  A row is
-    computed by `_level_nodes` on its first use, and elementwise arithmetic
-    gives it the bits of any other call."""
+    read from the plan's bank rows `row`, idx * _BANK_ROWS + 2^level - 2 + k;
+    0 < level < `_BANK_DEPTH`.  A row is computed by `_level_nodes` on its
+    first use, and elementwise arithmetic gives it the bits of any other
+    call."""
     z, vel, half, filled = plan.bank
-    row = idx * _BANK_ROWS + (2**level - 2) + k
     new = ~filled[row]
     if new.any():
         r = row[new]
@@ -364,7 +371,7 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
     return QuadratureResult(complex(values[0]), float(errors[0]), int(evaluations[0]))
 
 
-def _integrate_many(plan: _Plan, integrand, tol: float, values0=None):
+def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
     """`integrate_contour(path, integrand, tol)` for each path of the memoised
     `_plan` of a path set, in one loop: arrays of the values, error estimates
     and evaluations of the paths.
@@ -376,10 +383,13 @@ def _integrate_many(plan: _Plan, integrand, tol: float, values0=None):
     stops refining, and so does every later path of the set: the
     `ToleranceError` raised is that of the first failing path, as in a loop
     of single calls.  What depends only on the paths, up to the nodes of
-    level 0 and the bank of shallow panel nodes, comes from the plan.  A
-    caller that already holds the integrand's values at the flattened
-    level-0 nodes `plan.nodes[0]` passes them as `values0`, in place of the
-    first call.
+    level 0 and the bank of shallow panel nodes, comes from the plan.
+
+    With `fbank`, the `_f_bank` of an elementwise function f on this plan,
+    `integrand(z, fz)` is a kernel that takes f's values fz at the points z
+    besides z.  f's values come from the bank on level 0 and on the bank's
+    rows, and from a call of f on each deeper level, so every value is
+    bitwise that of the integrand z -> integrand(z, f(z)).
     """
     if not 0 < tol < math.inf:
         raise ContourError(f"tolerance must be positive and finite, got {tol}")
@@ -388,9 +398,8 @@ def _integrate_many(plan: _Plan, integrand, tol: float, values0=None):
     # the panels of a level: primitive, index k of [k, k + 1] 2^-level, tolerance
     n = len(path_of)
     idx, k, ptol = np.arange(n), np.zeros(n, np.int64), tol * plan.shares
-    if values0 is None:
-        values0 = integrand(plan.nodes[0].ravel())
-    sums = _panel_sums(plan.nodes, values0)
+    z = plan.nodes[0].ravel()
+    sums = _panel_sums(plan.nodes, integrand(z) if fbank is None else integrand(z, fbank.level0))
     coarse, halves = sums[:, 0], sums[:, 1:]
     fines, errs, splits = [], [], []
     levels = []  # the primitive of each panel of levels 1, 2, ...
@@ -427,19 +436,26 @@ def _integrate_many(plan: _Plan, integrand, tol: float, values0=None):
         if not count:
             break
         # each split panel becomes its halves 2k and 2k + 1 of the next level
-        idx = np.repeat(idx[split], 2)
-        k = np.repeat(2 * k[split], 2)
+        idx = idx[split].repeat(2)
+        k = (2 * k[split]).repeat(2)
         k[1::2] += 1
-        ptol = np.repeat(ptol[split] / 2.0, 2)
+        ptol = (ptol[split] / 2.0).repeat(2)
         coarse = halves[split].ravel()
         levels.append(idx)
         refined += count
         level += 1
         if level < _BANK_DEPTH:
-            nodes = _banked_nodes(plan, idx, k, level)
+            row = idx * _BANK_ROWS + (2**level - 2) + k
+            nodes = _banked_nodes(plan, row, idx, k, level)
         else:
+            row = None
             nodes = _level_nodes(plan.table, idx, k, level)
-        halves = _panel_sums(nodes, integrand(nodes[0].ravel()))
+        z = nodes[0].ravel()
+        if fbank is None:
+            values = integrand(z)
+        else:
+            values = integrand(z, fbank.f(z) if row is None else fbank.banked(row, nodes[0]).ravel())
+        halves = _panel_sums(nodes, values)
     if failure:
         depth, j, t, best, err = failure
         w = 2.0**-depth
@@ -454,13 +470,13 @@ def _integrate_many(plan: _Plan, integrand, tol: float, values0=None):
     for d in range(level, 0, -1):
         fines[d - 1][splits[d - 1]] = fines[d][0::2] + fines[d][1::2]
         errs[d - 1][splits[d - 1]] = errs[d][0::2] + errs[d][1::2]
-    # each path's primitives added in order, from 0 as a Python sum would:
-    # 0 + -0.0 is 0.0, and the zero pad leaves a total that is never -0.0
-    fine, err = np.append(fines[0], 0.0), np.append(errs[0], 0.0)
-    values, errors = np.zeros(n_paths, complex), np.zeros(n_paths)
-    for col in plan.columns:
-        values += fine[col]
-        errors += err[col]
+    # each path's primitives added in order, from 0 as a Python sum would
+    # (0 + -0.0 is 0.0): bincount adds its weights one by one from zero, and
+    # a complex sum is the sums of its parts
+    values = np.empty(n_paths, complex)
+    values.real = np.bincount(path_of, fines[0].real, n_paths)
+    values.imag = np.bincount(path_of, fines[0].imag, n_paths)
+    errors = np.bincount(path_of, errs[0], n_paths)
     return values, errors, plan.evaluations + 2 * len(_GL_NODES) * refined_per_path()
 
 
@@ -534,22 +550,50 @@ def _decomposition_contours(cone: ConeSpec, M: int, N: int) -> _Plan:
     return _plan(paths + (full_circle(cone.vertex, 2.0**-M),))
 
 
-@functools.lru_cache(maxsize=32)
-def _level0_values(f: GalleryFunction, plan: _Plan) -> np.ndarray:
-    """f at the flattened level-0 nodes of `plan`, evaluated once per (f, plan).
+class _FBank:
+    """f at the nodes of a plan that do not depend on the ray point x: the
+    flattened level-0 nodes, read-only in `level0`, and the bank rows
+    (levels 1 to `_BANK_DEPTH` - 1) that some integral has visited.
 
-    Every point x of a ray integrates the same f over the same paths, so
-    their level-0 points, 1,890 for M = 1 and N = 10, are the same for each
-    x.  Gallery functions are frozen and compared by value, plans by
-    identity; as for the plans, `lru_cache` takes 0.0 and -0.0 for the same
-    key.  An entry of that grid holds 30,240 bytes.  The deeper levels are
-    not kept: which of their panels refine depends on x, and the values of
-    one function on every banked row could take about 280 KB.  The array is
-    read-only, because every later call with this f and plan reads it.
+    Only visited rows are kept: `slot` maps each bank row to its row of
+    `rows`, or -1, and `rows` grows to the exact size of what it holds.  On
+    the benchmark's grid (M = 1, N = 10, 27 functions, 10 points each) the
+    level-0 values take 30,240 bytes per function and the rows together
+    2,392 * 480 bytes, about 1.15 MB.
     """
-    values = np.asarray(f(plan.nodes[0].ravel()))
-    values.flags.writeable = False
-    return values
+
+    def __init__(self, f: GalleryFunction, plan: _Plan):
+        self.f = f
+        self.level0 = np.asarray(f(plan.nodes[0].ravel()))
+        self.level0.flags.writeable = False
+        self.slot = np.full(len(plan.path_of) * _BANK_ROWS, -1, np.int32)
+        self.rows = np.empty((0, 2, len(_GL_NODES)), complex)
+
+    def banked(self, row: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """f at the nodes z of the distinct bank rows `row`, computed once
+        per row.  A row is marked only after f has returned its values, so
+        an f that raises leaves the bank as it was."""
+        slot = self.slot[row]
+        new = slot < 0
+        if new.any():
+            fz = np.asarray(self.f(z[new].ravel())).reshape(-1, *z.shape[1:])
+            start = len(self.rows)
+            self.rows = np.concatenate((self.rows, fz))
+            slot[new] = np.arange(start, start + len(fz))
+            self.slot[row[new]] = slot[new]
+        return self.rows[slot]
+
+
+@functools.lru_cache(maxsize=32)
+def _f_bank(f: GalleryFunction, plan: _Plan) -> _FBank:
+    """The `_FBank` of f on `plan`, one per (f, plan).
+
+    Every point x of a ray integrates the same f over the same paths, and f
+    at a node does not depend on x.  Gallery functions are frozen and
+    compared by value, plans by identity; as for the plans, `lru_cache`
+    takes 0.0 and -0.0 for the same key.
+    """
+    return _FBank(f, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -678,15 +722,13 @@ def annular_decomposition(
         _check_x_admissible(x, cone, N, M)
     _check_poles_off_contours(f, cone, M, N)
 
-    def integrand(z):
-        return f(z) / ((z - v) * (z - x))
+    def kernel(z, fz):
+        return fz / ((z - v) * (z - x))
 
     annuli = [] if N == M else list(range(M, N + 1))
     term_tol = tol / (len(annuli) + 1)
     plan = _decomposition_contours(cone, M, N)
-    z0 = plan.nodes[0].ravel()
-    values0 = _level0_values(f, plan) / ((z0 - v) * (z0 - x))
-    values, errors, evaluations = _integrate_many(plan, integrand, term_tol, values0)
+    values, errors, evaluations = _integrate_many(plan, kernel, term_tol, _f_bank(f, plan))
     values = values.tolist()
     terms = [(n, value / (2j * math.pi)) for n, value in zip(annuli, values)]
     circle_term = values[-1] / (2j * math.pi)

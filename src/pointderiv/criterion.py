@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from .content import annulus_content
 from .geometry import (
     Disk,
-    GeometryError,
     SwissCheeseDomain,
     annulus_complement,
     annulus_radii,

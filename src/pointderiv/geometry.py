@@ -132,17 +132,6 @@ class SwissCheeseDomain:
             d = min(d, abs(z - self.base_point))
         return d
 
-    def scaled(self, lam: float) -> "SwissCheeseDomain":
-        """Domain with all disks and the base point scaled about the origin."""
-        if lam <= 0:
-            raise GeometryError("scale factor must be positive")
-        return SwissCheeseDomain(
-            outer=Disk(lam * self.outer.center, lam * self.outer.radius),
-            holes=tuple(Disk(lam * h.center, lam * h.radius) for h in self.holes),
-            base_point=lam * self.base_point,
-            base_point_kind=self.base_point_kind,
-        )
-
 
 @dataclass(frozen=True)
 class Ray:

@@ -453,6 +453,23 @@ def test_cli_import_leaves_hashlib_out():
     assert res.stdout.splitlines()[-2:] == ["False", "06f06c4354d4d7c1 674b5abebf00ca7f"]
 
 
+def test_import_leaves_numpy_polynomial_out():
+    # the quadrature's Gauss-Legendre rule is literal: numpy.polynomial, and
+    # the LAPACK call of leggauss, would cost resident memory at every import
+    code = "import sys\nimport pointderiv, pointderiv.cli\nprint('numpy.polynomial' in sys.modules)\n"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 # The example config of README.md
 README_CONFIG = {
     "alpha": 0.5,

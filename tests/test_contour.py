@@ -96,8 +96,10 @@ def _slice_calls(monkeypatch, batch):
     step = 2 * len(_GL_NODES) * batch
 
     def sliced(plan, integrand, *args):
-        def f(z):
-            return np.concatenate([integrand(z[i : i + step]) for i in range(0, len(z), step)])
+        # z, and the values of f at z where the loop passes a kernel
+        def f(*arrays):
+            n = len(arrays[0])
+            return np.concatenate([integrand(*(a[i : i + step] for a in arrays)) for i in range(0, n, step)])
 
         return many(plan, f, *args)
 
@@ -171,6 +173,12 @@ def test_annular_piece_arclength_halves():
     l3 = build_annular_piece(3, CONE).total_length
     l4 = build_annular_piece(4, CONE).total_length
     assert l4 == pytest.approx(l3 / 2, rel=1e-12)
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_integrate_residue():
@@ -530,7 +538,7 @@ def test_plan_reuse_leaves_results_unchanged(gallery):
 
 def test_plan_arrays_are_read_only():
     plan = contour._plan(tuple(_decomposition_paths()))
-    arrays = [plan.path_of, plan.shares, *plan.table, *plan.nodes, plan.evaluations, plan.columns]
+    arrays = [plan.path_of, plan.shares, *plan.table, *plan.nodes, plan.evaluations]
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0
@@ -548,9 +556,11 @@ def test_decomposition_contours_looked_up_once_per_call(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The level-0 values of f, kept per (f, plan)
+# The values of f on the level-0 nodes and the bank rows, kept per (f, plan)
 
 GRID_XS = [complex(v) for v in -np.geomspace(0.35, 0.005, 10)]  # acceptance 1 and 2
+# a pole just outside the circle 2^-2 refines past the bank's depth
+NEAR = GalleryFunction(rational_terms=((0.26, 0.01),))
 
 
 def test_level0_memo_leaves_results_unchanged(gallery):
@@ -560,17 +570,25 @@ def test_level0_memo_leaves_results_unchanged(gallery):
     warm = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)) for f, x in cases]
     cold = []
     for f, x in cases:
-        contour._level0_values.cache_clear()
+        contour._f_bank.cache_clear()
         cold.append(_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)))
     assert cold == warm
 
 
 def test_level0_points_evaluated_once_per_function_and_plan(gallery, monkeypatch):
-    f = gallery[15]
     plan = contour._decomposition_contours(CONE, 1, 10)
     z0 = plan.nodes[0].ravel()
     assert len(z0) == 1890  # 42 primitives, 3 panels of 15 points each
-    contour._level0_values.cache_clear()
+    contour._f_bank.cache_clear()
+    levels = _spy_levels(monkeypatch)
+    rows = []
+    banked = contour._banked_nodes
+
+    def spy_rows(plan, row, *args):
+        rows.append(row)
+        return banked(plan, row, *args)
+
+    monkeypatch.setattr(contour, "_banked_nodes", spy_rows)
     calls = []
     call = GalleryFunction.__call__
 
@@ -579,13 +597,98 @@ def test_level0_points_evaluated_once_per_function_and_plan(gallery, monkeypatch
         return call(self, z)
 
     monkeypatch.setattr(GalleryFunction, "__call__", spy)
-    reports = [annular_decomposition(f, x, CONE, M=1, N=10) for x in GRID_XS]
-    arrays = [z for z in calls if z.ndim]
-    assert sum(z.shape == z0.shape and (z == z0).all() for z in arrays) == 1
-    # besides them, f sees the refined points of each x, and x itself
-    refined = sum(r.evaluations - len(z0) for r in reports)
-    assert refined > 0 and sum(z.size for z in arrays) == len(z0) + refined
-    assert len(calls) - len(arrays) == len(GRID_XS)
+    for f in (gallery[15], NEAR):
+        deep = []  # points of the levels beyond the bank, per pass
+        for _ in range(2):
+            for log in (calls, levels, rows):
+                log.clear()
+            for x in GRID_XS:
+                annular_decomposition(f, x, CONE, M=1, N=10)
+            arrays = [z for z in calls if z.ndim]
+            # f sees x once per call
+            assert len(calls) - len(arrays) == len(GRID_XS)
+            deep.append(sum(2 * len(_GL_NODES) * len(d) for from_bank, d in levels if not from_bank))
+            if len(deep) == 1:
+                # level 0 once, each banked row the grid visits once, and the deeper levels
+                assert sum(z.shape == z0.shape and (z == z0).all() for z in arrays) == 1
+                visited = len(np.unique(np.concatenate(rows)))
+                assert len(np.concatenate(rows)) > visited
+                assert sum(z.size for z in arrays) == len(z0) + 2 * len(_GL_NODES) * visited + deep[0]
+            else:
+                # a second pass: only the deeper levels
+                assert sum(z.size for z in arrays) == deep[1]
+        assert deep[0] == deep[1]
+    assert deep[0] > 0  # NEAR refines past the bank
+
+
+def test_level0_memo_is_read_only_and_small(domain):
+    # the benchmark's grid: 27 functions, 10 ray points each
+    contour._f_bank.cache_clear()
+    gallery = build_test_gallery(domain, 27)
+    for f in gallery:
+        for x in GRID_XS:
+            annular_decomposition(f, x, CONE, M=1, N=10)
+    info = contour._f_bank.cache_info()
+    assert info.misses == len(gallery) and info.hits == len(gallery) * (len(GRID_XS) - 1)
+    plan = contour._decomposition_contours(CONE, 1, 10)
+    banks = [contour._f_bank(f, plan) for f in gallery]
+    for bank in banks:
+        with pytest.raises(ValueError):
+            bank.level0[...] = 0
+        # only the visited rows are stored
+        assert len(bank.rows) == np.count_nonzero(bank.slot >= 0)
+    assert sum(b.level0.nbytes + b.slot.nbytes + b.rows.nbytes for b in banks) <= 2.5e6
+
+
+def test_f_bank_cold_and_warm_bits(domain, monkeypatch):
+    # cold: a new bank for every call; warm: a bank filled by the other
+    # points of the ray, in either order
+    def reports(cases, cold):
+        out = []
+        for f, x in cases:
+            if cold:
+                contour._f_bank.cache_clear()
+            out.append(_report_bits(annular_decomposition(f, x, CONE, M=1, N=10)))
+        return out
+
+    grid = [(f, x) for f in build_test_gallery(domain, 27) for x in GRID_XS]
+    levels = _spy_levels(monkeypatch)
+    deep = [(NEAR, x) for x in (-0.3, -0.1, -0.02, -0.006)]
+    for cases in (grid, deep):
+        cold = reports(cases, True)
+        contour._f_bank.cache_clear()
+        assert reports(cases, False) == cold
+        contour._f_bank.cache_clear()
+        assert reports(cases[::-1], False)[::-1] == cold
+        assert reports(cases, False) == cold
+    assert max(d[0] for _, d in levels) >= contour._BANK_DEPTH
+
+
+def test_f_bank_fill_that_raises_marks_no_row(monkeypatch):
+    x = -0.1
+    contour._f_bank.cache_clear()
+    want = _report_bits(annular_decomposition(NEAR, x, CONE, M=1, N=10))
+    contour._f_bank.cache_clear()
+    call = GalleryFunction.__call__
+    sizes = []  # points of each array call that returned
+
+    def failing(self, z):
+        if np.ndim(z) and len(sizes) == 2:  # the fill of level 2
+            raise RuntimeError("f failed")
+        out = call(self, z)
+        if np.ndim(z):
+            sizes.append(np.size(z))
+        return out
+
+    monkeypatch.setattr(GalleryFunction, "__call__", failing)
+    with pytest.raises(RuntimeError, match="f failed"):
+        annular_decomposition(NEAR, x, CONE, M=1, N=10)
+    bank = contour._f_bank(NEAR, contour._decomposition_contours(CONE, 1, 10))
+    assert sizes[0] == len(bank.level0) == 1890
+    # the rows of level 1 are kept, and no row of level 2 is marked
+    assert np.count_nonzero(bank.slot >= 0) == len(bank.rows) == sizes[1] // (2 * len(_GL_NODES))
+    monkeypatch.setattr(GalleryFunction, "__call__", call)
+    assert _report_bits(annular_decomposition(NEAR, x, CONE, M=1, N=10)) == want
 
 
 def test_paths_together_past_the_budget_each_within_it(monkeypatch):
@@ -631,22 +734,6 @@ def test_path_total_starts_from_zero(monkeypatch):
     assert _bits(integrate_contour(paths[0], lambda z: z).value) == _bits(totals[0])
 
 
-def test_level0_memo_is_read_only_and_small(domain):
-    # the benchmark's grid: 27 functions, 10 ray points each
-    contour._level0_values.cache_clear()
-    gallery = build_test_gallery(domain, 27)
-    for f in gallery:
-        for x in GRID_XS:
-            annular_decomposition(f, x, CONE, M=1, N=10)
-    info = contour._level0_values.cache_info()
-    assert info.misses == len(gallery) and info.hits == len(gallery) * (len(GRID_XS) - 1)
-    plan = contour._decomposition_contours(CONE, 1, 10)
-    values = contour._level0_values(gallery[-1], plan)
-    with pytest.raises(ValueError):
-        values[...] = 0
-    assert info.currsize * values.nbytes <= 1e6
-
-
 # ---------------------------------------------------------------------------
 # The bank of shallow panel nodes
 
@@ -657,11 +744,11 @@ def _spy_levels(monkeypatch):
     levels, in_bank = [], []
     banked, nodes = contour._banked_nodes, contour._panel_nodes
 
-    def spy_bank(plan, idx, k, level):
+    def spy_bank(plan, row, idx, k, level):
         levels.append((True, [level] * len(idx)))
         in_bank.append(True)
         try:
-            return banked(plan, idx, k, level)
+            return banked(plan, row, idx, k, level)
         finally:
             in_bank.pop()
 
@@ -722,7 +809,7 @@ def test_bank_rows_are_panel_nodes(name, monkeypatch):
     panels = np.array([_panel_of_row(int(r)) for r in rows])
     for level in range(1, contour._BANK_DEPTH):
         at = panels[:, 1] == level
-        got = contour._banked_nodes(plan, panels[at, 0], panels[at, 2], level)
+        got = contour._banked_nodes(plan, rows[at], panels[at, 0], panels[at, 2], level)
         assert [a.tobytes() for a in got] == [a[rows[at]].tobytes() for a in (z, vel, half)]
     assert filled.all()
     for r, (i, level, k) in zip(rows, panels.tolist()):

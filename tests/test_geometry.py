@@ -135,7 +135,12 @@ def test_verify_interior_cone_ray_through_hole(domain):
 def test_verify_interior_cone_scale_invariant(domain, ray):
     k1 = verify_interior_cone(domain, ray)
     lam = 0.5
-    d2 = domain.scaled(lam)
+    d2 = SwissCheeseDomain(
+        outer=Disk(lam * domain.outer.center, lam * domain.outer.radius),
+        holes=tuple(Disk(lam * h.center, lam * h.radius) for h in domain.holes),
+        base_point=lam * domain.base_point,
+        base_point_kind=domain.base_point_kind,
+    )
     r2 = Ray(ray.origin * lam, ray.direction, ray.length * lam)
     assert verify_interior_cone(d2, r2) == pytest.approx(k1, rel=1e-12)
 
