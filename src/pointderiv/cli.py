@@ -41,6 +41,7 @@ from .geometry import (
     Ray,
     SwissCheeseDomain,
     annulus_complement,
+    cone_samples,
     validate_cone,
 )
 from .content import ContentError, annulus_content
@@ -343,7 +344,8 @@ class RunContext:
         """Write `files` and `<command>-manifest.json` into `out`, then print
         the stdout lines.  The manifest holds the config hash, the effective
         seed and quadrature tolerance, the tool, Python and numpy versions,
-        the file names and the command's `stats`."""
+        the file names and `stats`: the command's own, plus the stage wall
+        times `stage_s` that `main` adds."""
         manifest = {
             "config_hash": config_hash(self.cfg.raw, self.cfg.seed, self.cfg.quad_tol),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -372,6 +374,18 @@ class RunContext:
 
 # ---------------------------------------------------------------------------
 # Subcommands
+
+
+def _certify(err_to_tol: float, tol: float, what: str) -> None:
+    """Raise ToleranceError when a quadrature's error estimate exceeds its
+    tolerance.  A panel also stops refining at the rounding floor
+    1e-16 (1 + |panel sum|), so below about 1e-13 a run can succeed with an
+    estimate above tol."""
+    if err_to_tol > 1.0:
+        raise ToleranceError(
+            f"{what} error estimate is {err_to_tol:.3g} x tol {tol:.3g}: the "
+            "quadrature panels reached the rounding floor 1e-16 (1 + |panel sum|)"
+        )
 
 
 def cmd_criterion(ctx: RunContext) -> Outputs:
@@ -444,6 +458,7 @@ def cmd_decompose(ctx: RunContext) -> Outputs:
         raise ToleranceError(
             f"decomposition residual {rep.residual:.3g} exceeds 2x tol {cfg.quad_tol:.3g}"
         )
+    _certify(rep.err_to_tol, cfg.quad_tol, "decomposition")
     rows = [["lhs", "", rep.lhs.real, rep.lhs.imag]]
     for n, term in rep.annular_terms:
         rows.append(["annulus", n, term.real, term.imag])
@@ -483,6 +498,7 @@ def cmd_lemma_check(ctx: RunContext) -> Outputs:
         "evaluations": sum(rep.evaluations for rep in reports),
         "err_to_tol": max((rep.err_to_tol for rep in reports), default=0.0),
     }
+    _certify(stats["err_to_tol"], cfg.quad_tol, "lemma check")
     return files, lines, stats
 
 
@@ -505,18 +521,12 @@ def cmd_cone(ctx: RunContext) -> Outputs:
     cfg = ctx.cfg
     if cfg.ray is None:
         raise ConfigError("cone requires a ray section")
-    rows = []
-    k = math.inf
-    for i in range(24):
-        t = cfg.ray.length * 2.0**-i
-        x = cfg.ray.point(t)
-        bd = cfg.domain.boundary_distance(x)
-        ratio = bd / abs(x - cfg.domain.base_point)
-        k = min(k, ratio)
-        rows.append([i, t, x.real, x.imag, bd, ratio])
+    samples = cone_samples(cfg.domain, cfg.ray)
+    rows = [[i, t, x.real, x.imag, bd, ratio] for i, t, x, bd, ratio in samples]
     files = {
         "cone.csv": _csv(rows, ["sample_index", "t", "x_re", "x_im", "boundary_distance", "ratio"])
     }
+    k = min(ratio for *_, ratio in samples)
     return files, [f"estimated_k {k!r}"], {}
 
 
@@ -550,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = args.out or Path(os.environ.get(OUT_ENV_VAR, "out"))
+    t0 = time.perf_counter()
     try:
         cfg = load_config(args.config, seed_override=args.seed, tol_override=args.tol)
     except (ConfigError, GeometryError, GalleryError, ContentError, ValueError) as e:
@@ -557,7 +568,10 @@ def main(argv=None) -> int:
         return 2
     ctx = RunContext(cfg=cfg, out=out, svg=args.svg, command=args.command)
     try:
-        ctx.emit(*COMMANDS[args.command](ctx))
+        t1 = time.perf_counter()
+        files, lines, stats = COMMANDS[args.command](ctx)
+        stage_s = {"load": t1 - t0, "compute": time.perf_counter() - t1}
+        ctx.emit(files, lines, {**stats, "stage_s": stage_s})
     except ToleranceError as e:
         print(f"numerical tolerance failure: {e}", file=sys.stderr)
         return 3

@@ -5,6 +5,7 @@ labeled heuristics and must never back a sufficiency verdict.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,7 @@ def _ring_mask(xs: np.ndarray, ys: np.ndarray, c: complex, lo: float, hi: float)
     return mask
 
 
+@functools.lru_cache(maxsize=1024)
 def _greedy_piece_upper(
     piece: ClippedPiece, alpha: float, mesh: float | None, pixel_budget: int
 ) -> float:
@@ -93,6 +95,13 @@ def _greedy_piece_upper(
 
     The grid is anchored at the piece bounding box so the estimate is exactly
     scale-covariant.
+
+    The cover depends only on the piece, not on any function, so it runs
+    once per distinct argument tuple; pieces are frozen and compared by
+    value.  As for the contour memos, `lru_cache` takes 0.0 and -0.0 (and 1
+    and 1.0) for the same key.  An exception, such as the ContentError for a
+    mesh at or above the diameter, is not cached: it is raised again on
+    every call.
     """
     diam = piece.diameter()
     if diam <= 0.0:

@@ -148,7 +148,7 @@ def functional_sweep(
     The maximum ratio estimates the uniform bound on the quotient
     functionals; it should stay stable as the sweep deepens on a domain whose
     series criterion holds.  Every function is measured on the same seminorm
-    sample pairs, built once.
+    sample pairs, drawn once per process (`_seminorm_pairs` is memoised).
     """
     x0 = domain.base_point
     region = DiskRegion(domain.outer.center, domain.outer.radius)

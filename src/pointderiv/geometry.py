@@ -240,11 +240,14 @@ def validate_cone(domain: SwissCheeseDomain, cone: ConeSpec) -> None:
             raise GeometryError(f"cone meets hole {h}")
 
 
-def verify_interior_cone(domain: SwissCheeseDomain, ray: Ray) -> float:
-    """Lower estimate of the cone constant k along a non-tangential ray.
+def cone_samples(
+    domain: SwissCheeseDomain, ray: Ray
+) -> list[tuple[int, float, complex, float, float]]:
+    """The ray at the 24 dyadic distances t = length * 2^-i, as rows
+    (i, t, x, boundary_distance(x), boundary_distance(x) / |x - x0|).
 
-    Samples the ray at 24 dyadically spaced distances and returns the
-    minimum of boundary_distance(x) / |x - x0|.
+    Raises GeometryError unless the ray starts at the base point, misses
+    every hole and every sample lies in U.
     """
     if ray.origin != domain.base_point:
         raise GeometryError("ray must start at the domain base point")
@@ -256,14 +259,21 @@ def verify_interior_cone(domain: SwissCheeseDomain, ray: Ray) -> float:
         t = min(max((w / u).real, 0.0), ray.length)
         if abs(ray.origin + t * u - h.center) <= h.radius:
             raise GeometryError(f"ray passes through hole {h}")
-    k = math.inf
+    rows = []
     for i in range(24):
         t = ray.length * 2.0**-i
         x = ray.point(t)
         if not domain.contains(x):
             raise GeometryError(f"ray sample {x} lies outside the domain")
-        k = min(k, domain.boundary_distance(x) / abs(x - domain.base_point))
-    return k
+        bd = domain.boundary_distance(x)
+        rows.append((i, t, x, bd, bd / abs(x - domain.base_point)))
+    return rows
+
+
+def verify_interior_cone(domain: SwissCheeseDomain, ray: Ray) -> float:
+    """Lower estimate of the cone constant k along a non-tangential ray: the
+    least ratio of `cone_samples`, which checks the ray."""
+    return min(row[4] for row in cone_samples(domain, ray))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ point by construction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +52,6 @@ class GalleryFunction:
     ct_terms: tuple[tuple[Disk, complex], ...] = ()  # (disk, weight)
     base_point: complex = 0j
     label: str = ""
-    _offset: complex = field(init=False, default=0j, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "poly_coeffs", tuple(complex(c) for c in self.poly_coeffs))
@@ -64,8 +64,12 @@ class GalleryFunction:
         for p, _ in self.rational_terms:
             if p == complex(self.base_point):
                 raise GalleryError("pole coincides with the base point")
-        object.__setattr__(self, "_offset", 0j)
-        object.__setattr__(self, "_offset", self._raw(complex(self.base_point)))
+
+    @functools.cached_property
+    def _offset(self):
+        """The raw value at the base point, computed on the first evaluation:
+        building a gallery evaluates no function."""
+        return self._raw(complex(self.base_point))
 
     def _raw(self, z):
         z = np.asarray(z, dtype=complex)
@@ -175,15 +179,27 @@ def sample_pairs(region, pair_count: int, rng: np.random.Generator):
     return np.concatenate(zs), np.concatenate(ws)
 
 
+@functools.lru_cache(maxsize=16)
 def _seminorm_pairs(region, alpha: float, pair_count: int, seed: int):
     """The pairs of a seminorm estimate as (z, w, |z - w|**alpha), without
-    the pairs of equal points.  They depend on the region, not on f."""
+    the pairs of equal points.
+
+    They depend on the region, not on f, so they are drawn once per
+    distinct argument tuple and every array is read-only; a pair takes
+    about 40 B.  Regions are frozen and compared by value, and as for the
+    contour memos `lru_cache` takes 0.0 and -0.0 (and 1 and 1.0) for the
+    same key.  An exception, such as the GalleryError for a `pair_count`
+    below 100, is not cached: it is raised again on every call.
+    """
     if pair_count < 100:
         raise GalleryError("pair_count must be >= 100")
     z, w = sample_pairs(region, pair_count, np.random.default_rng(seed))
     d = np.abs(z - w)
     keep = d > 0
-    return z[keep], w[keep], d[keep] ** alpha
+    pairs = z[keep], w[keep], d[keep] ** alpha
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
 
 
 def _max_ratio(f, pairs) -> float:
@@ -200,7 +216,11 @@ def seminorm_estimate(
     pair_count: int = 2000,
     seed: int = 0,
 ) -> SeminormEstimate:
-    """Sampled lower estimate of sup |f(z)-f(w)| / |z-w|^alpha over the region."""
+    """Sampled lower estimate of sup |f(z)-f(w)| / |z-w|^alpha over the region.
+
+    The sample pairs come from the memoised `_seminorm_pairs`, so only the
+    first estimate with a given region, alpha, pair count and seed draws
+    them."""
     pairs = _seminorm_pairs(region, alpha, pair_count, seed)
     return SeminormEstimate(
         value=_max_ratio(f, pairs), pair_count=len(pairs[0]), region=region

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 from pointderiv import annulus_complement, conjugate_function, contour, experiments
-from pointderiv.cli import ConfigError, RunContext, _csv, cmd_limit, config_hash, load_config, main
+from pointderiv.cli import (
+    COMMANDS,
+    ConfigError,
+    RunContext,
+    _csv,
+    cmd_limit,
+    config_hash,
+    load_config,
+    main,
+)
 
 BASE_CONFIG = {
     "alpha": 0.5,
@@ -90,7 +99,7 @@ def test_bad_json_exit_2(tmp_path, capsys):
 
 def test_ray_through_hole_exit_2(tmp_path, capsys):
     p = write_config(tmp_path, {"ray": {"direction": 0.0, "length": 0.25}})
-    for command in ("limit", "sweep"):
+    for command in ("limit", "sweep", "cone"):
         assert run(command, p, tmp_path / "o") == 2
         assert "ray passes through hole" in capsys.readouterr().err
 
@@ -128,6 +137,31 @@ def test_decompose_tolerance_failure_exit_3(tmp_path, capsys):
     code = run("decompose", p, tmp_path / "o", "--tol", "1e-30")
     assert code == 3
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, tol, ratio",
+    [
+        ("decompose", "1e-14", "1.33"),
+        ("decompose", "1e-13", None),
+        ("lemma-check", "1e-17", "2.26"),
+        ("lemma-check", "1e-16", None),
+    ],
+)
+def test_error_estimate_above_tol_exit_3(tmp_path, capsys, command, tol, ratio):
+    # below about 1e-13 the paths certify on the rounding floor of their
+    # panels, with a worst error estimate above the tolerance
+    out = tmp_path / "o"
+    code = run(command, write_config(tmp_path), out, "--tol", tol)
+    err = capsys.readouterr().err
+    if ratio:
+        assert code == 3
+        assert f"error estimate is {ratio} x tol {tol}" in err and "rounding floor" in err
+        assert not out.exists()
+    else:
+        assert code == 0
+        manifest = json.loads((out / f"{command}-manifest.json").read_text())
+        assert 0.0 < manifest["err_to_tol"] <= 1.0
 
 
 def test_tol_override_is_not_a_cache_hit(tmp_path, capsys):
@@ -267,6 +301,20 @@ def test_command_returns_what_main_writes(tmp_path, capsys):
     assert sorted(q.name for q in out.iterdir()) == ["limit-manifest.json", *sorted(files)]
     for name, data in files.items():
         assert (out / name).read_text() == data
+
+
+def test_manifest_records_stage_times(tmp_path, capsys):
+    p = write_config(tmp_path)
+    for command, cmd in COMMANDS.items():
+        out = tmp_path / command
+        files, _, stats = cmd(RunContext(load_config(p), out, svg=False, command=command))
+        assert "stage_s" not in stats
+        assert run(command, p, out) == 0
+        manifest = json.loads((out / f"{command}-manifest.json").read_text())
+        assert sorted(manifest["stage_s"]) == ["compute", "load"]
+        assert all(t >= 0.0 for t in manifest["stage_s"].values())
+        for name, data in files.items():
+            assert (out / name).read_text() == data
 
 
 def test_manifest_records_effective_settings(tmp_path):

@@ -15,7 +15,8 @@ from pointderiv import (
     disjoint_disk_content,
     greedy_cover_upper,
 )
-from pointderiv.content import _ring_mask
+from pointderiv import content
+from pointderiv.content import _ring_mask, annulus_content
 from pointderiv.geometry import annulus_radii
 
 
@@ -100,6 +101,15 @@ def test_greedy_mesh_validation():
         greedy_cover_upper([piece], 0.5, mesh=1.0)
     with pytest.raises(ContentError):
         greedy_cover_upper([piece], 0.5, mesh=piece.diameter() / 4096, pixel_budget=64)
+
+
+def test_cover_memo_raises_on_every_call():
+    (piece,) = _whole_disk_pieces(Disk(0.1875, 0.03125))
+    content._greedy_piece_upper.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ContentError, match="mesh must be smaller"):
+            greedy_cover_upper([piece], 0.5, mesh=1.0)
+    assert content._greedy_piece_upper.cache_info().currsize == 0
 
 
 def test_greedy_vs_disjoint_within_slack(domain):
@@ -233,6 +243,29 @@ def test_clipped_config_covers_bitwise_oracle():
         assert p.diameter() == _oracle_diameter(p)
         for alpha in (0.3, 0.5, 0.9):
             assert greedy_cover_upper([p], alpha).upper == _oracle_piece_upper(p, alpha)
+
+
+def test_cover_memo_cold_and_warm_bits():
+    # annulus_content on the 16 clipped pieces of the CLI's clipped config
+    holes = [
+        Disk(2.0**-k * cmath.exp(1j * (-1.2 + 2.4 * (k - 2) / 7)), 0.3 * 2.0**-k)
+        for k in range(2, 10)
+    ]
+    domain = SwissCheeseDomain(holes=tuple(holes))
+    annuli = [annulus_complement(domain, n) for n in range(1, 11)]
+    assert sum(len(pieces) for pieces in annuli) == 16
+    memo = content._greedy_piece_upper
+    cold = []
+    for pieces in annuli:
+        memo.cache_clear()
+        cold.append(repr(annulus_content(pieces, 0.5)))
+    memo.cache_clear()
+    for pieces in annuli:
+        annulus_content(pieces, 0.5)
+    assert memo.cache_info().misses == 16
+    warm = [repr(annulus_content(pieces, 0.5)) for pieces in annuli]
+    assert memo.cache_info().misses == 16
+    assert warm == cold
 
 
 def test_ring_mask_band_is_decided_by_np_abs():

@@ -8,11 +8,15 @@ from pointderiv import (
     Disk,
     DiskRegion,
     GalleryFunction,
+    Ray,
     build_test_gallery,
     conjugate_function,
+    functional_sweep,
+    lemma_cauchy_bound_check,
     seminorm_estimate,
 )
-from pointderiv.lipschitz import GalleryError, disk_cauchy_transform
+from pointderiv.contour import full_circle
+from pointderiv.lipschitz import GalleryError, _seminorm_pairs, disk_cauchy_transform
 
 CT_DISK = Disk(0.5, 0.125)
 
@@ -152,8 +156,9 @@ def test_build_test_gallery(domain, gallery):
 
 
 def _gallery_fields(f):
-    # repr tells -0.0 from 0.0 and keeps every digit; `_offset` is compared too
-    return repr([getattr(f, fl.name) for fl in dataclasses.fields(f)])
+    # repr tells -0.0 from 0.0 and keeps every digit; `_offset`, computed on
+    # first use and not a field, is compared too
+    return repr([getattr(f, fl.name) for fl in dataclasses.fields(f)] + [f._offset])
 
 
 @pytest.mark.parametrize("count", [0, 1, 6, 20, 27])
@@ -174,3 +179,62 @@ def test_validate_for_domain_rejects_outside_pole(domain):
     f = GalleryFunction(rational_terms=((0.5j, 1.0),))
     with pytest.raises(GalleryError):
         f.validate_for_domain(domain)
+
+
+def test_gallery_offset_is_computed_on_first_use(domain, monkeypatch):
+    calls = []
+    raw = GalleryFunction._raw
+
+    def spy(self, z):
+        calls.append(z)
+        return raw(self, z)
+
+    monkeypatch.setattr(GalleryFunction, "_raw", spy)
+    gallery = build_test_gallery(domain, 27)
+    assert calls == []
+    f = gallery[13]
+    assert f(0.01) == raw(f, 0.01) - raw(f, 0j)
+    assert f(-0.02) == raw(f, -0.02) - raw(f, 0j)
+    # the offset once, then one call per evaluation
+    assert len(calls) == 3
+    with pytest.raises(GalleryError, match="pole coincides with the base point"):
+        GalleryFunction(rational_terms=((0.25j, 1.0),), base_point=0.25j)
+
+
+def test_seminorm_pairs_are_read_only_and_drawn_once():
+    _seminorm_pairs.cache_clear()
+    region = DiskRegion(0j, 0.2)
+    pairs = _seminorm_pairs(region, 0.5, 4000, 0)
+    assert _seminorm_pairs(DiskRegion(0j, 0.2), 0.5, 4000, 0) is pairs
+    for a in pairs:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert sum(a.nbytes for a in pairs) <= 4100 * 40
+    for _ in range(2):
+        with pytest.raises(GalleryError, match="pair_count"):
+            _seminorm_pairs(region, 0.5, 99, 0)
+    assert _seminorm_pairs.cache_info().currsize == 1
+
+
+def _lemma_bits():
+    f = conjugate_function()
+    return [
+        repr(lemma_cauchy_bound_check(f, full_circle(0j, r), DiskRegion(0j, r), 0.5))
+        for r in (0.4, 0.2, 0.1)
+    ]
+
+
+def _sweep_bits(gallery, domain):
+    ray = Ray(0j, math.pi, 0.25)
+    return repr(functional_sweep(gallery, domain, ray, scales=12, alpha=0.5, seed=3))
+
+
+def test_seminorm_pairs_memo_cold_and_warm_bits(domain, gallery):
+    _seminorm_pairs.cache_clear()
+    cold = _lemma_bits(), _sweep_bits(gallery, domain)
+    hits = _seminorm_pairs.cache_info().hits
+    warm = _lemma_bits(), _sweep_bits(gallery, domain)
+    # three lemma radii and the sweep's unit disk, each drawn once
+    assert _seminorm_pairs.cache_info().hits == hits + 4
+    assert warm == cold
