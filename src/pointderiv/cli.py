@@ -229,6 +229,8 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
         gallery = _parse_gallery(raw.get("gallery"), domain)
     with _section("n_max"):
         n_max = int(raw.get("n_max", 40))
+    if n_max < 1:
+        raise ConfigError(f"n_max must be at least 1, got {n_max}")
     # the criterion weighs annulus n by 4.0**n, which overflows from n = 512
     # on, and a family's closed-form tail starts at n_max + 1
     if n_max > 510:
@@ -299,10 +301,18 @@ def _atomic_write(path: Path, data: str) -> None:
 
 def _csv(rows: list[list], header: list[str]) -> str:
     """CSV text of rows of ints, floats and strings; `str` of a float is its
-    shortest round-tripping `repr`."""
+    shortest round-tripping `repr`.  A string cell may hold several
+    already-formatted columns."""
     lines = [",".join(header)]
     lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _ray_columns(xs) -> list[str]:
+    """The `x_re,x_im` cells of each ray sample, formatted once for a whole
+    table.  A list indexed by sample, not a dict keyed by value, so -0.0 and
+    0.0 keep their own text."""
+    return [f"{x.real!r},{x.imag!r}" for x in xs]
 
 
 def _svg_loglog(points: list[tuple[float, float]], title: str) -> str:
@@ -345,7 +355,14 @@ class RunContext:
         the stdout lines.  The manifest holds the config hash, the effective
         seed and quadrature tolerance, the tool, Python and numpy versions,
         the file names and `stats`: the command's own, plus the stage wall
-        times `stage_s` that `main` adds."""
+        times `stage_s` that `main` adds.  Emit adds the `write` stage: the
+        time to write the data files.  The manifest is written after it, so
+        its own write is in no stage."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        for name, data in files.items():
+            _atomic_write(self.out / name, data)
+        stage_s = {**stats.get("stage_s", {}), "write": time.perf_counter() - t0}
         manifest = {
             "config_hash": config_hash(self.cfg.raw, self.cfg.seed, self.cfg.quad_tol),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -357,11 +374,10 @@ class RunContext:
             "quad_tol": self.cfg.quad_tol,
             "files": sorted(files),
             **stats,
+            "stage_s": stage_s,
         }
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        self.out.mkdir(parents=True, exist_ok=True)
-        for name, data in [*files.items(), (f"{self.command}-manifest.json", manifest_text)]:
-            _atomic_write(self.out / name, data)
+        _atomic_write(self.out / f"{self.command}-manifest.json", manifest_text)
         for line in stdout_lines:
             print(line)
 
@@ -397,7 +413,7 @@ def cmd_criterion(ctx: RunContext) -> Outputs:
     ]
     files = {"criterion.csv": _csv(rows, ["n", "content_upper", "weighted_term", "partial_sum"])}
     lines = [f"verdict {report.verdict} total {report.total!r} ({report.notes})"]
-    return files, lines, {}
+    return files, lines, {"pieces": report.pieces}
 
 
 def cmd_limit(ctx: RunContext) -> Outputs:
@@ -407,12 +423,14 @@ def cmd_limit(ctx: RunContext) -> Outputs:
     reports = _nontangential_limits(
         cfg.gallery, cfg.domain, cfg.ray, cfg.scales, cfg.limit_tol
     )
+    # every report holds the same ray samples
+    cols = _ray_columns(x for x, _, _ in reports[0].samples)
     rows = []
     lines = []
     svg_points = []
     for i, (f, rep) in enumerate(zip(cfg.gallery, reports)):
         for j, (x, q, dev) in enumerate(rep.samples):
-            rows.append([i, j, x.real, x.imag, q.real, q.imag, dev])
+            rows.append([i, j, cols[j], q.real, q.imag, dev])
             if i == 0:
                 svg_points.append((abs(x), max(dev, 1e-17)))
         lines.append(
@@ -427,7 +445,7 @@ def cmd_limit(ctx: RunContext) -> Outputs:
     }
     if ctx.svg:
         files["limit.svg"] = _svg_loglog(svg_points, "deviation vs |x| (log-log)")
-    return files, lines, {}
+    return files, lines, {"functions": len(reports), "ray_samples": len(cols)}
 
 
 def cmd_sweep(ctx: RunContext) -> Outputs:
@@ -437,11 +455,20 @@ def cmd_sweep(ctx: RunContext) -> Outputs:
     rep = functional_sweep(
         cfg.gallery, cfg.domain, cfg.ray, cfg.scales, cfg.alpha, seed=cfg.seed
     )
-    rows = [[i, x.real, x.imag, lx, ratio] for i, x, lx, ratio in rep.grid]
+    # the grid runs over the ray samples in order once per function kept
+    n = cfg.scales + 1
+    cols = _ray_columns(x for _, x, _, _ in rep.grid[:n])
+    rows = [[i, cols[k % n], lx, ratio] for k, (i, _, lx, ratio) in enumerate(rep.grid)]
     files = {
         "sweep.csv": _csv(rows, ["function_index", "x_re", "x_im", "functional_abs", "ratio"])
     }
-    return files, [f"max_ratio {rep.max_ratio!r} skipped {list(rep.skipped)}"], {}
+    stats = {
+        "functions": len(cfg.gallery),
+        "ray_samples": n,
+        "seminorm_pairs": rep.seminorm_pairs,
+        "skipped_functions": len(rep.skipped),
+    }
+    return files, [f"max_ratio {rep.max_ratio!r} skipped {list(rep.skipped)}"], stats
 
 
 def cmd_decompose(ctx: RunContext) -> Outputs:
@@ -514,7 +541,7 @@ def cmd_content(ctx: RunContext) -> Outputs:
             rows, ["n", "piece_count", "upper", "lower_heuristic", "method"]
         )
     }
-    return files, [f"annuli {cfg.n_max}"], {}
+    return files, [f"annuli {cfg.n_max}"], {"pieces": sum(row[1] for row in rows)}
 
 
 def cmd_cone(ctx: RunContext) -> Outputs:

@@ -104,6 +104,7 @@ class CriterionReport:
     verdict: str
     threshold: float | None = None
     notes: str = ""
+    pieces: int = 0  # clipped pieces whose content was estimated
 
     @property
     def total(self) -> float:
@@ -128,8 +129,11 @@ def lord_ofarrell_series(
     terms = []
     partial = []
     acc = 0.0
+    pieces = 0
     for n in range(1, n_max + 1):
-        est = annulus_content(annulus_complement(domain, n), alpha)
+        annulus = annulus_complement(domain, n)
+        pieces += len(annulus)
+        est = annulus_content(annulus, alpha)
         weighted = 4.0**n * est.upper
         acc += weighted
         terms.append((n, est.upper, weighted))
@@ -168,6 +172,7 @@ def lord_ofarrell_series(
         verdict=verdict,
         threshold=threshold,
         notes=notes,
+        pieces=pieces,
     )
 
 

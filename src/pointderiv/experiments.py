@@ -8,13 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    DiskRegion,
-    GeometryError,
-    Ray,
-    SwissCheeseDomain,
-    verify_interior_cone,
-)
+from .geometry import DiskRegion, GeometryError, Ray, SwissCheeseDomain, check_ray
 from .lipschitz import GalleryFunction, _max_ratio, _seminorm_pairs
 
 CONVERGED = "CONVERGED"
@@ -34,15 +28,20 @@ class LimitExperimentReport:
     verdict: str
 
 
-def _fit_order(xs: np.ndarray, devs: np.ndarray) -> float:
-    """Log-log slope of deviation against |x| over the last few scales."""
-    keep = devs > EXACT_FLOOR
-    if keep.sum() < 2:
+def _fit_order(xs: list[float], devs: list[float]) -> float:
+    """Log-log slope of deviation against |x| over the last few scales.
+
+    The least-squares slope through the points whose deviation exceeds
+    EXACT_FLOOR, in closed form: a fit of at most 5 points needs no
+    LAPACK solve."""
+    pts = [(math.log(x), math.log(d)) for x, d in zip(xs, devs) if d > EXACT_FLOOR]
+    if len(pts) < 2:
         return math.inf  # numerically exact
-    lx = np.log(xs[keep])
-    ld = np.log(devs[keep])
-    slope = np.polyfit(lx, ld, 1)[0]
-    return float(slope)
+    mx = sum(a for a, _ in pts) / len(pts)
+    my = sum(b for _, b in pts) / len(pts)
+    sxx = sum((a - mx) ** 2 for a, _ in pts)
+    sxy = sum((a - mx) * (b - my) for a, b in pts)
+    return sxy / sxx if sxx > 0.0 else math.nan  # nan: all kept |x| equal
 
 
 def _limit_report(
@@ -51,21 +50,20 @@ def _limit_report(
     limit_tol: float,
 ) -> LimitExperimentReport:
     rows = tuple((x, q, abs(q - df)) for x, q in samples)
-    devs = np.array([d for _, _, d in rows])
-    xs = np.array([abs(x) for x, _, _ in rows])
-    order = _fit_order(xs[-5:], devs[-5:]) if len(rows) >= 5 else math.nan
+    tail = [d for _, _, d in rows[-5:]]
     tol_abs = limit_tol * (abs(df) if abs(df) > 0 else 1.0)
     if len(rows) < 5:
-        # a verdict reads the last 5 samples
+        # the order and a verdict read the last 5 samples
+        order = math.nan
         verdict = INCONCLUSIVE
     else:
-        tail = devs[-5:]
+        order = _fit_order([abs(x) for x, _, _ in rows[-5:]], tail)
         monotone = all(
             b <= a + EXACT_FLOOR for a, b in zip(tail, tail[1:])
         )
-        if monotone and devs[-1] <= tol_abs:
+        if monotone and tail[-1] <= tol_abs:
             verdict = CONVERGED
-        elif devs[-1] <= tol_abs:
+        elif tail[-1] <= tol_abs:
             verdict = INCONCLUSIVE
         else:
             verdict = NOT_CONVERGED
@@ -82,10 +80,11 @@ def _ray_points(domain: SwissCheeseDomain, ray: Ray, scales: int) -> list[comple
     """The dyadic ray samples at distances length * 2^-j, j = 0..scales.
 
     Raises GeometryError unless the ray starts at the base point and misses
-    every hole (`verify_interior_cone`), every sample lies in U and no
-    sample is the base point, where a difference quotient divides by zero.
+    every hole (`check_ray`), every sample lies in U and no sample is the
+    base point, where a difference quotient divides by zero.  Only these
+    samples are checked, not the 24 of `cone_samples`.
     """
-    verify_interior_cone(domain, ray)
+    check_ray(domain, ray)
     xs = [ray.point(ray.length * 2.0**-j) for j in range(scales + 1)]
     for x in xs:
         if x == domain.base_point:
@@ -93,6 +92,13 @@ def _ray_points(domain: SwissCheeseDomain, ray: Ray, scales: int) -> list[comple
         if not domain.contains(x):
             raise GeometryError(f"ray sample {x} lies outside the domain")
     return xs
+
+
+def _vanishes_at(f: GalleryFunction, x0: complex) -> bool:
+    """Whether f(x0) is exactly 0j without evaluating it: f is normalized at
+    its base point, and when that is the object x0 (as for every gallery a
+    config builds) f(x0) subtracts a value from itself."""
+    return f.base_point is x0
 
 
 def _nontangential_limits(
@@ -103,13 +109,15 @@ def _nontangential_limits(
     limit_tol: float,
 ) -> list[LimitExperimentReport]:
     """`nontangential_limit` of each gallery function; the ray is checked
-    and sampled once, and each f is evaluated on all samples in one call."""
+    and sampled once, and each f is evaluated on all samples in one call.
+    f(x0) is evaluated only for an f not known to vanish there; v - 0j is
+    v bit for bit."""
     x0 = domain.base_point
     xs = _ray_points(domain, ray, scales)
     reports = []
     for f in gallery:
         df = f.derivative(x0)
-        fx0 = f(x0)
+        fx0 = 0j if _vanishes_at(f, x0) else f(x0)
         samples = [(x, (v - fx0) / (x - x0)) for x, v in zip(xs, f(np.array(xs)).tolist())]
         reports.append(_limit_report(samples, df, limit_tol))
     return reports
@@ -128,10 +136,12 @@ def nontangential_limit(
 
 @dataclass(frozen=True)
 class FunctionalSweepReport:
-    # rows: (function_index, x, |L_x(f)|, |L_x(f)| / seminorm(f))
+    # rows: (function_index, x, |L_x(f)|, |L_x(f)| / seminorm(f)), one per
+    # ray sample in ray order for each function not skipped
     grid: tuple[tuple[int, complex, float, float], ...]
     max_ratio: float
     skipped: tuple[int, ...] = ()
+    seminorm_pairs: int = 0  # sample pairs each seminorm was taken over
 
 
 def functional_sweep(
@@ -149,25 +159,33 @@ def functional_sweep(
     functionals; it should stay stable as the sweep deepens on a domain whose
     series criterion holds.  Every function is measured on the same seminorm
     sample pairs, drawn once per process (`_seminorm_pairs` is memoised).
+    The normalization check f(x0) = 0 is made for an f not known to vanish
+    at x0.
     """
     x0 = domain.base_point
     region = DiskRegion(domain.outer.center, domain.outer.radius)
-    pairs = _seminorm_pairs(region, alpha, pair_count, seed)
+    zw, d_alpha = _seminorm_pairs(region, alpha, pair_count, seed)
     xs = _ray_points(domain, ray, scales)
+    # f is elementwise: one call gives its values at the pairs and the ray
+    points = np.concatenate([zw, xs])
     rows = []
     skipped = []
     for i, f in enumerate(gallery):
-        if abs(f(x0)) > 1e-12:
+        if not _vanishes_at(f, x0) and abs(f(x0)) > 1e-12:
             raise GeometryError(f"gallery function {i} is not normalized at x0")
-        sem = _max_ratio(f, pairs)
+        values = f(points)
+        sem = _max_ratio(values, d_alpha)
         if sem == 0.0:
             skipped.append(i)
             continue
         df = f.derivative(x0)
-        for x, v in zip(xs, f(np.array(xs)).tolist()):
+        for x, v in zip(xs, values[len(zw) :].tolist()):
             lx = abs(v / (x - x0) - df)
             rows.append((i, x, lx, lx / sem))
     max_ratio = max((r for _, _, _, r in rows), default=0.0)
     return FunctionalSweepReport(
-        grid=tuple(rows), max_ratio=max_ratio, skipped=tuple(skipped)
+        grid=tuple(rows),
+        max_ratio=max_ratio,
+        skipped=tuple(skipped),
+        seminorm_pairs=len(d_alpha),
     )

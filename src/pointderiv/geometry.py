@@ -240,25 +240,34 @@ def validate_cone(domain: SwissCheeseDomain, cone: ConeSpec) -> None:
             raise GeometryError(f"cone meets hole {h}")
 
 
-def cone_samples(
-    domain: SwissCheeseDomain, ray: Ray
-) -> list[tuple[int, float, complex, float, float]]:
-    """The ray at the 24 dyadic distances t = length * 2^-i, as rows
-    (i, t, x, boundary_distance(x), boundary_distance(x) / |x - x0|).
+def check_ray(domain: SwissCheeseDomain, ray: Ray) -> None:
+    """Raise GeometryError unless the ray starts at the base point and its
+    whole segment misses every closed hole.
 
-    Raises GeometryError unless the ray starts at the base point, misses
-    every hole and every sample lies in U.
+    The hole test is exact, segment against disk; sampling alone can slip
+    between dyadic points even when the ray crosses a hole.  Whether the
+    samples a caller takes lie in U is the caller's check.
     """
     if ray.origin != domain.base_point:
         raise GeometryError("ray must start at the domain base point")
-    # exact segment/hole intersection check; sampling alone can slip between
-    # dyadic points even when the ray crosses a hole
     u = cmath.exp(1j * ray.direction)
     for h in domain.holes:
         w = h.center - ray.origin
         t = min(max((w / u).real, 0.0), ray.length)
         if abs(ray.origin + t * u - h.center) <= h.radius:
             raise GeometryError(f"ray passes through hole {h}")
+
+
+def cone_samples(
+    domain: SwissCheeseDomain, ray: Ray
+) -> list[tuple[int, float, complex, float, float]]:
+    """The ray at the 24 dyadic distances t = length * 2^-i, as rows
+    (i, t, x, boundary_distance(x), boundary_distance(x) / |x - x0|).
+
+    Raises GeometryError unless `check_ray` passes and every sample lies
+    in U.
+    """
+    check_ray(domain, ray)
     rows = []
     for i in range(24):
         t = ray.length * 2.0**-i

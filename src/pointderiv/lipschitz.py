@@ -181,11 +181,12 @@ def sample_pairs(region, pair_count: int, rng: np.random.Generator):
 
 @functools.lru_cache(maxsize=16)
 def _seminorm_pairs(region, alpha: float, pair_count: int, seed: int):
-    """The pairs of a seminorm estimate as (z, w, |z - w|**alpha), without
-    the pairs of equal points.
+    """The pairs of a seminorm estimate as (zw, |z - w|**alpha), without
+    the pairs of equal points: zw holds the first points z followed by the
+    second points w, so f is evaluated once on both.
 
     They depend on the region, not on f, so they are drawn once per
-    distinct argument tuple and every array is read-only; a pair takes
+    distinct argument tuple and both arrays are read-only; a pair takes
     about 40 B.  Regions are frozen and compared by value, and as for the
     contour memos `lru_cache` takes 0.0 and -0.0 (and 1 and 1.0) for the
     same key.  An exception, such as the GalleryError for a `pair_count`
@@ -196,17 +197,20 @@ def _seminorm_pairs(region, alpha: float, pair_count: int, seed: int):
     z, w = sample_pairs(region, pair_count, np.random.default_rng(seed))
     d = np.abs(z - w)
     keep = d > 0
-    pairs = z[keep], w[keep], d[keep] ** alpha
+    pairs = np.concatenate([z[keep], w[keep]]), d[keep] ** alpha
     for a in pairs:
         a.setflags(write=False)
     return pairs
 
 
-def _max_ratio(f, pairs) -> float:
-    """max |f(z) - f(w)| / |z - w|**alpha over the pairs of `_seminorm_pairs`."""
-    z, w, d_alpha = pairs
-    ratio = np.abs(np.asarray(f(z)) - np.asarray(f(w))) / d_alpha
-    return float(ratio.max()) if len(ratio) else 0.0
+def _max_ratio(values, d_alpha) -> float:
+    """max |f(z) - f(w)| / |z - w|**alpha over the pairs of `_seminorm_pairs`,
+    from the values of f at their points z followed by w; values past the
+    pairs' points are ignored."""
+    n = len(d_alpha)
+    values = np.asarray(values)
+    ratio = np.abs(values[:n] - values[n : 2 * n]) / d_alpha
+    return float(ratio.max()) if n else 0.0
 
 
 def seminorm_estimate(
@@ -218,12 +222,14 @@ def seminorm_estimate(
 ) -> SeminormEstimate:
     """Sampled lower estimate of sup |f(z)-f(w)| / |z-w|^alpha over the region.
 
-    The sample pairs come from the memoised `_seminorm_pairs`, so only the
-    first estimate with a given region, alpha, pair count and seed draws
-    them."""
-    pairs = _seminorm_pairs(region, alpha, pair_count, seed)
+    f must be elementwise: it maps an array of points to the array of its
+    values at each point, so one call on all the pairs' points gives the
+    same values as separate calls.  The sample pairs come from the memoised
+    `_seminorm_pairs`, so only the first estimate with a given region,
+    alpha, pair count and seed draws them."""
+    zw, d_alpha = _seminorm_pairs(region, alpha, pair_count, seed)
     return SeminormEstimate(
-        value=_max_ratio(f, pairs), pair_count=len(pairs[0]), region=region
+        value=_max_ratio(f(zw), d_alpha), pair_count=len(d_alpha), region=region
     )
 
 

@@ -6,11 +6,22 @@ import os
 import platform
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from pointderiv import annulus_complement, conjugate_function, contour, experiments
+from pointderiv import (
+    DiskRegion,
+    SwissCheeseDomain,
+    annulus_complement,
+    build_test_gallery,
+    cli,
+    conjugate_function,
+    contour,
+    experiments,
+    lipschitz,
+)
 from pointderiv.cli import (
     COMMANDS,
     ConfigError,
@@ -175,10 +186,14 @@ def test_tol_override_is_not_a_cache_hit(tmp_path, capsys):
 
 
 def test_n_max_zero_exit_2(tmp_path, capsys):
-    p = write_config(tmp_path, {"n_max": 0})
-    assert run("criterion", p, tmp_path / "o") == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    # content used to exit 0 with an empty table and print "annuli -3"
+    for n_max in (0, -3):
+        p = write_config(tmp_path, {"n_max": n_max})
+        for command in COMMANDS:
+            assert run(command, p, tmp_path / "o") == 2, (n_max, command)
+            err = capsys.readouterr().err
+            assert err == f"config error: n_max must be at least 1, got {n_max}\n"
+            assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -295,7 +310,8 @@ def test_command_returns_what_main_writes(tmp_path, capsys):
     out = tmp_path / "o"
     files, lines, stats = cmd_limit(RunContext(load_config(p), out, svg=True, command="limit"))
     assert not out.exists() and capsys.readouterr().out == ""
-    assert sorted(files) == ["limit.csv", "limit.svg"] and stats == {}
+    assert sorted(files) == ["limit.csv", "limit.svg"]
+    assert stats == {"functions": 6, "ray_samples": 13}
     assert run("limit", p, out, "--svg") == 0
     assert capsys.readouterr().out.splitlines() == lines
     assert sorted(q.name for q in out.iterdir()) == ["limit-manifest.json", *sorted(files)]
@@ -311,7 +327,7 @@ def test_manifest_records_stage_times(tmp_path, capsys):
         assert "stage_s" not in stats
         assert run(command, p, out) == 0
         manifest = json.loads((out / f"{command}-manifest.json").read_text())
-        assert sorted(manifest["stage_s"]) == ["compute", "load"]
+        assert sorted(manifest["stage_s"]) == ["compute", "load", "write"]
         assert all(t >= 0.0 for t in manifest["stage_s"].values())
         for name, data in files.items():
             assert (out / name).read_text() == data
@@ -538,6 +554,32 @@ README_SHA256 = {
     "sweep.csv": "3d84218f8ac55d2c440dd03b81b29a551b10b3d00c2b64c18bda6b576d8ce4a4",
 }
 
+# The benchmark's deep and clipped domains, with 20 gallery functions: poles
+# and Cauchy transforms as well as polynomials
+DEEP_CONFIG = dict(
+    README_CONFIG,
+    domain={"roadrunner": {"radius_ratio": 0.25, "truncation": 20}},
+    gallery={"preset": "auto", "count": 20},
+    n_max=24,
+)
+CLIPPED_LIMIT_CONFIG = dict(
+    README_CONFIG,
+    domain={"holes": CLIPPED_HOLES},
+    gallery={"preset": "auto", "count": 20},
+    n_max=10,
+)
+
+# Written by the release that fitted the convergence order with np.polyfit
+# and formatted every x_re,x_im cell of a table on its own
+DEEP_SHA256 = {
+    "limit.csv": "a2bd715f0b5e13fafac2829c184caf51bfbf7ccc6be387cd08f11893e788e43c",
+    "sweep.csv": "e732de39f67f48f299ef5e28d8387166c94c79a33360e5a6d4d530de1682120b",
+}
+CLIPPED_SHA256 = {
+    "limit.csv": "eb18897cf5c111c202e04eeac97c2b53f1d6aa0d9520fb87367c5490ade004af",
+    "sweep.csv": "bbe305c66881d02e241685743087c637e4524394582124cd958364bf95253dd0",
+}
+
 README_LEMMA_CHECK_CSV = """\
 radius,integral_magnitude,content_upper,seminorm,kappa_hat
 0.4,1.0053096491487339,0.7155417527999328,0.8944271909999161,1.5707963267948961
@@ -546,9 +588,9 @@ radius,integral_magnitude,content_upper,seminorm,kappa_hat
 """
 
 
-def readme_config(tmp_path):
-    p = tmp_path / "readme.json"
-    p.write_text(json.dumps(README_CONFIG))
+def readme_config(tmp_path, raw=README_CONFIG, name="readme.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps(raw))
     return p
 
 
@@ -560,16 +602,144 @@ def test_readme_limit_sweep_lemma_check_bytes(tmp_path):
     for name, digest in README_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
     assert (out / "lemma_check.csv").read_text() == README_LEMMA_CHECK_CSV
+    for raw, digests in ((DEEP_CONFIG, DEEP_SHA256), (CLIPPED_LIMIT_CONFIG, CLIPPED_SHA256)):
+        out = tmp_path / f"o{len(raw['gallery'])}-{raw['n_max']}"
+        for cmd in ("limit", "sweep"):
+            assert run(cmd, readme_config(tmp_path, raw), out) == 0
+        for name, digest in digests.items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert got == digest, (raw["n_max"], name)
 
 
 def test_limit_checks_the_ray_once(tmp_path, monkeypatch):
+    # the exact hole test once, and none of the 24 boundary distances that
+    # `cone` tabulates
     calls = []
-    real = experiments.verify_interior_cone
+    real = experiments.check_ray
     monkeypatch.setattr(
-        experiments, "verify_interior_cone", lambda *a, **k: calls.append(1) or real(*a, **k)
+        experiments, "check_ray", lambda *a, **k: calls.append(1) or real(*a, **k)
     )
-    assert run("limit", readme_config(tmp_path), tmp_path / "o") == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(
+        SwissCheeseDomain, "boundary_distance", lambda *a: pytest.fail("boundary distance")
+    )
+    for command in ("limit", "sweep"):
+        calls.clear()
+        assert run(command, readme_config(tmp_path), tmp_path / command) == 0
+        assert len(calls) == 1, command
+
+
+@pytest.mark.parametrize(
+    "ray, message",
+    [
+        (
+            {"direction": 0.0, "length": 0.25},
+            "ray passes through hole Disk(center=(0.09375+0j), radius=0.015625)",
+        ),
+        (
+            {"direction": math.pi, "length": 1.5},
+            "ray sample (-1.5+1.8369701987210297e-16j) lies outside the domain",
+        ),
+        (
+            {"direction": math.pi, "length": 1e-320},
+            "ray.scales = 20 puts the last ray sample on the base point",
+        ),
+    ],
+    ids=["through-hole", "leaves-outer-disk", "sample-on-base-point"],
+)
+def test_bad_ray_exit_2_with_one_message(tmp_path, capsys, ray, message):
+    p = readme_config(tmp_path, dict(README_CONFIG, ray=ray))
+    for command in ("limit", "sweep", "cone"):
+        assert run(command, p, tmp_path / "o") == 2, command
+        assert capsys.readouterr().err == f"config error: {message}\n", command
+        assert not (tmp_path / "o").exists()
+
+
+def test_no_command_reaches_lapack(tmp_path, monkeypatch, capsys):
+    def lapack(*a, **k):
+        raise AssertionError("LAPACK reached")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lapack)
+    monkeypatch.setattr(np, "polyfit", lapack)
+    configs = {"readme": README_CONFIG, "deep": DEEP_CONFIG, "clipped": CLIPPED_LIMIT_CONFIG}
+    for name, raw in configs.items():
+        p = readme_config(tmp_path, raw, f"{name}.json")
+        for command in COMMANDS:
+            assert run(command, p, tmp_path / name / command) == 0, (name, command)
+
+
+def test_max_ratio_on_concatenated_pairs_is_the_separate_form(tmp_path):
+    # every function each of the three domains supports, on the pairs of
+    # `sweep` followed by its ray samples, and on the pairs of `lemma-check`
+    cases = []
+    for raw in (README_CONFIG, DEEP_CONFIG, CLIPPED_LIMIT_CONFIG):
+        cfg = load_config(readme_config(tmp_path, raw))
+        gallery = build_test_gallery(cfg.domain, 6 + 3 * len(cfg.domain.holes))
+        xs = np.array([cfg.ray.point(cfg.ray.length * 2.0**-j) for j in range(21)])
+        for seed in (0, 5):
+            pairs = lipschitz._seminorm_pairs(DiskRegion(0j, 1.0), 0.5, 2000, seed)
+            cases += [(f, pairs, xs) for f in gallery]
+    for r in (0.4, 0.2, 0.1):
+        pairs = lipschitz._seminorm_pairs(DiskRegion(0j, r), 0.5, 4000, 0)
+        cases.append((conjugate_function(), pairs, xs[:0]))
+    assert len(cases) == 2 * (27 + 60 + 30) + 3
+    for f, (zw, d_alpha), xs in cases:
+        z, w = zw[: len(d_alpha)], zw[len(d_alpha) :]
+        separate = float((np.abs(f(z) - f(w)) / d_alpha).max())
+        values = f(np.concatenate([zw, xs]))
+        assert lipschitz._max_ratio(values, d_alpha).hex() == separate.hex(), f.label
+        assert values[len(zw) :].tobytes() == f(xs).tobytes(), f.label
+
+
+def _manifest(tmp_path, command, raw=README_CONFIG):
+    out = tmp_path / command
+    assert run(command, readme_config(tmp_path, raw), out) == 0
+    return json.loads((out / f"{command}-manifest.json").read_text())
+
+
+def test_manifest_counts_functions(tmp_path):
+    for command in ("limit", "sweep"):
+        assert _manifest(tmp_path, command, DEEP_CONFIG)["functions"] == 20
+        assert _manifest(tmp_path, command)["functions"] == 6
+
+
+def test_manifest_counts_ray_samples(tmp_path):
+    short = dict(README_CONFIG, ray=dict(README_CONFIG["ray"], scales=7))
+    for command in ("limit", "sweep"):
+        assert _manifest(tmp_path, command)["ray_samples"] == 21
+        assert _manifest(tmp_path, command, short)["ray_samples"] == 8
+
+
+def test_manifest_counts_seminorm_pairs(tmp_path):
+    pairs = lipschitz._seminorm_pairs(DiskRegion(0j, 1.0), 0.5, 2000, 0)
+    assert _manifest(tmp_path, "sweep")["seminorm_pairs"] == len(pairs[1]) > 1900
+
+
+def test_manifest_counts_skipped_functions(tmp_path):
+    assert _manifest(tmp_path, "sweep")["skipped_functions"] == 0
+    raw = dict(README_CONFIG, gallery=[{"poly": [0, 1]}, {"poly": []}, {"poly": [2.0]}])
+    manifest = _manifest(tmp_path, "sweep", raw)
+    assert manifest["skipped_functions"] == 2 and manifest["functions"] == 3
+
+
+def test_manifest_counts_pieces(tmp_path):
+    raw = dict(README_CONFIG, domain={"holes": CLIPPED_HOLES}, n_max=10)
+    for command in ("content", "criterion"):
+        # 8 holes, each cut in two by a dyadic circle
+        assert _manifest(tmp_path, command, raw)["pieces"] == 16
+    table = (tmp_path / "content" / "content.csv").read_text().splitlines()[1:]
+    assert sum(int(row.split(",")[1]) for row in table) == 16
+
+
+def test_manifest_times_the_data_writes_only(tmp_path, monkeypatch):
+    real = cli._atomic_write
+
+    def slow_write(path, data):
+        time.sleep(1.0 if path.name.endswith("-manifest.json") else 0.05)
+        real(path, data)
+
+    monkeypatch.setattr(cli, "_atomic_write", slow_write)
+    write = _manifest(tmp_path, "limit")["stage_s"]["write"]
+    assert 0.05 <= write < 1.0
 
 
 def test_manifest_describes_the_last_run(tmp_path):

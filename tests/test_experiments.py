@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointderiv import (
     CONVERGED,
@@ -14,8 +17,10 @@ from pointderiv import (
     seminorm_estimate,
 )
 from pointderiv.experiments import (
+    EXACT_FLOOR,
     INCONCLUSIVE,
     NOT_CONVERGED,
+    _fit_order,
     _limit_report,
     _nontangential_limits,
 )
@@ -190,3 +195,47 @@ def test_sweep_equals_per_function_seminorms(domain, ray, gallery):
         f = gallery[i]
         assert lx == abs(f(x) / x - f.derivative(0j))
         assert ratio == lx / sems[i]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    j0=st.integers(0, 40),
+    devs=st.lists(
+        st.one_of(st.floats(1e-16, 1e-12), st.floats(1e-12, 1e3)), min_size=0, max_size=5
+    ),
+)
+def test_fit_order_matches_polyfit(j0, devs):
+    # the tail of a limit table: dyadic |x| and deviations on both sides of
+    # EXACT_FLOOR, so from 0 to 5 points are kept
+    xs = [0.25 * 2.0 ** -(j0 + j) for j in range(len(devs))]
+    kept = np.array([(x, d) for x, d in zip(xs, devs) if d > EXACT_FLOOR]).reshape(-1, 2)
+    got = _fit_order(xs, devs)
+    if len(kept) < 2:
+        assert got == math.inf
+        return
+    lx, ld = np.log(kept).T
+    want = np.polyfit(lx, ld, 1)[0]
+    # a slope near 0 comes from nearly equal sums, where both fits are off by
+    # rounding: polyfit gives -2.2e-16 for two equal deviations, the closed
+    # form 0.0; so the bound is relative, or 1e-12 of the largest |log dev|
+    scale = float(np.abs(ld).max())
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale), (got, want)
+
+
+def test_fit_order_of_exactly_two_points():
+    assert _fit_order([0.5, 0.25], [4e-3, 1e-3]) == pytest.approx(2.0, rel=1e-15)
+    assert _fit_order([0.5, 0.25, 0.125], [4e-3, 1e-3, 1e-13]) == pytest.approx(2.0, rel=1e-15)
+    assert _fit_order([0.5], [4e-3]) == math.inf
+    assert _fit_order([], []) == math.inf
+    # sample |x| can round to one value near a base point off 0
+    assert math.isnan(_fit_order([0.5, 0.5], [1e-3, 1e-4]))
+
+
+def test_f_at_x0_is_used_unless_f_is_normalized_there(domain, ray):
+    # the identity normalized at 0.1j: f(x0) = -0.1j, which sweep refuses and
+    # the limit quotient (f(x) - f(x0)) / (x - x0) = 1 subtracts
+    f = GalleryFunction(poly_coeffs=(0, 1), base_point=0.1j)
+    with pytest.raises(GeometryError, match="function 0 is not normalized at x0"):
+        functional_sweep([f], domain, ray, scales=5)
+    rep = nontangential_limit(f, domain, ray, scales=5)
+    assert all(abs(q - 1) < 1e-12 for _, q, _ in rep.samples)
