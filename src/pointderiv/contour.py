@@ -277,6 +277,30 @@ _BANK_DEPTH = 4
 _BANK_ROWS = 2**_BANK_DEPTH - 2
 
 
+class _Rows:
+    """Bank rows of (2, 15) complex arrays, computed on first use and held at
+    exact size: `slot` maps each row to its place in `arrays`, or -1 while it
+    is not computed, so memory follows the rows visited."""
+
+    def __init__(self, n_rows: int, n_arrays: int):
+        self.slot = np.full(n_rows, -1, np.int32)
+        self.arrays = (np.empty((0, 2, len(_GL_NODES)), complex),) * n_arrays
+
+    def get(self, row: np.ndarray, fill) -> tuple:
+        """The arrays at the distinct rows `row`; `fill(new)` computes them at
+        the rows row[new] not yet held.  A row is marked only after `fill`
+        has returned, so a fill that raises leaves the rows as they were."""
+        slot = self.slot[row]
+        new = slot < 0
+        if new.any():
+            start = len(self.arrays[0])
+            rows = (np.reshape(b, (-1, 2, len(_GL_NODES))) for b in fill(new))
+            self.arrays = tuple(map(np.concatenate, zip(self.arrays, rows)))
+            slot[new] = np.arange(start, len(self.arrays[0]))
+            self.slot[row[new]] = slot[new]
+        return tuple(a[slot] for a in self.arrays)
+
+
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """What `_integrate_many` needs of a path set before it sees an integrand.
@@ -289,10 +313,9 @@ class _Plan:
     table: tuple  # `_primitive_table` of the primitives
     nodes: tuple  # `_panel_nodes` of each primitive's coarse, left and right panel
     evaluations: np.ndarray  # integrand points of level 0, per path
-    # `_level_nodes` of panel k of level L on primitive i in row
-    # i * _BANK_ROWS + 2^L - 2 + k, filled on first use: (z, velocities,
-    # half-widths, filled)
-    bank: tuple
+    # z and velocities of `_level_nodes` of panel k of level L on primitive
+    # i in row i * _BANK_ROWS + 2^L - 2 + k, for the rows visited
+    bank: _Rows
 
 
 @functools.lru_cache(maxsize=64)
@@ -318,15 +341,7 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
     evaluations = 3 * len(_GL_NODES) * np.bincount(path_of, minlength=len(paths))
     for a in (path_of, shares, *table, *nodes, evaluations):
         a.flags.writeable = False
-    # the zeroed pages of rows never used need not become resident
-    rows = n * _BANK_ROWS
-    bank = (
-        np.zeros((rows, 2, len(_GL_NODES)), complex),
-        np.zeros((rows, 2, len(_GL_NODES)), complex),
-        np.zeros((rows, 2)),
-        np.zeros(rows, bool),
-    )
-    return _Plan(path_of, shares, table, nodes, evaluations, bank)
+    return _Plan(path_of, shares, table, nodes, evaluations, _Rows(n * _BANK_ROWS, 2))
 
 
 def _banked_nodes(plan: _Plan, row: np.ndarray, idx: np.ndarray, k: np.ndarray, level: int) -> tuple:
@@ -334,14 +349,9 @@ def _banked_nodes(plan: _Plan, row: np.ndarray, idx: np.ndarray, k: np.ndarray, 
     read from the plan's bank rows `row`, idx * _BANK_ROWS + 2^level - 2 + k;
     0 < level < `_BANK_DEPTH`.  A row is computed by `_level_nodes` on its
     first use, and elementwise arithmetic gives it the bits of any other
-    call."""
-    z, vel, half, filled = plan.bank
-    new = ~filled[row]
-    if new.any():
-        r = row[new]
-        z[r], vel[r], half[r] = _level_nodes(plan.table, idx[new], k[new], level)
-        filled[r] = True
-    return z[row], vel[row], half[row]
+    call; every half-width of the level is 2^-(level + 2), exact."""
+    z, vel = plan.bank.get(row, lambda new: _level_nodes(plan.table, idx[new], k[new], level)[:2])
+    return z, vel, 2.0 ** -(level + 2)
 
 
 def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> QuadratureResult:
@@ -453,8 +463,11 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
         z = nodes[0].ravel()
         if fbank is None:
             values = integrand(z)
+        elif row is None:
+            values = integrand(z, fbank.f(z))
         else:
-            values = integrand(z, fbank.f(z) if row is None else fbank.banked(row, nodes[0]).ravel())
+            fz = fbank.rows.get(row, lambda new: (fbank.f(nodes[0][new].ravel()),))[0]
+            values = integrand(z, fz.ravel())
         halves = _panel_sums(nodes, values)
     if failure:
         depth, j, t, best, err = failure
@@ -552,36 +565,20 @@ def _decomposition_contours(cone: ConeSpec, M: int, N: int) -> _Plan:
 
 class _FBank:
     """f at the nodes of a plan that do not depend on the ray point x: the
-    flattened level-0 nodes, read-only in `level0`, and the bank rows
-    (levels 1 to `_BANK_DEPTH` - 1) that some integral has visited.
+    flattened level-0 nodes, read-only in `level0`, and in `rows` the bank
+    rows (levels 1 to `_BANK_DEPTH` - 1) that some integral has visited.
 
-    Only visited rows are kept: `slot` maps each bank row to its row of
-    `rows`, or -1, and `rows` grows to the exact size of what it holds.  On
-    the benchmark's grid (M = 1, N = 10, 27 functions, 10 points each) the
-    level-0 values take 30,240 bytes per function and the rows together
-    2,392 * 480 bytes, about 1.15 MB.
+    `rows` keeps a slot map of its own, because an f visits only some of
+    its plan's rows.  On the benchmark's grid (M = 1, N = 10, 27 functions,
+    10 points each) the level-0 values take 30,240 bytes per function and
+    the rows 2,392 * 480 bytes in all, about 1.15 MB, not 27 * 188 rows.
     """
 
     def __init__(self, f: GalleryFunction, plan: _Plan):
         self.f = f
         self.level0 = np.asarray(f(plan.nodes[0].ravel()))
         self.level0.flags.writeable = False
-        self.slot = np.full(len(plan.path_of) * _BANK_ROWS, -1, np.int32)
-        self.rows = np.empty((0, 2, len(_GL_NODES)), complex)
-
-    def banked(self, row: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """f at the nodes z of the distinct bank rows `row`, computed once
-        per row.  A row is marked only after f has returned its values, so
-        an f that raises leaves the bank as it was."""
-        slot = self.slot[row]
-        new = slot < 0
-        if new.any():
-            fz = np.asarray(self.f(z[new].ravel())).reshape(-1, *z.shape[1:])
-            start = len(self.rows)
-            self.rows = np.concatenate((self.rows, fz))
-            slot[new] = np.arange(start, start + len(fz))
-            self.slot[row[new]] = slot[new]
-        return self.rows[slot]
+        self.rows = _Rows(len(plan.path_of) * _BANK_ROWS, 1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -659,6 +656,23 @@ def _inner_index(f: GalleryFunction, x: complex, cone: ConeSpec) -> int:
     return N
 
 
+# The deepest inner index N: on the circle 2^-N about x0 = 0 the kernel's
+# (z - x0)(z - x) underflows past it.  The criterion's `n_max` has the same cap.
+_N_MAX = 510
+
+
+def _contour_depth(f: GalleryFunction, x: complex, cone: ConeSpec, N: int | None) -> int:
+    """N, or `_inner_index` of f at x if N is None, checked before any
+    integral: x is not the vertex and N is at most `_N_MAX`."""
+    if x == cone.vertex:
+        raise ContourError(f"x = {x} is the cone vertex, inside every circle 2^-N")
+    if N is None:
+        N = _inner_index(f, x, cone)
+    if N > _N_MAX:
+        raise ContourError(f"contour depth N = {N} exceeds {_N_MAX}, past what float64 resolves")
+    return N
+
+
 def quotient_via_cauchy(
     f: GalleryFunction,
     x: complex,
@@ -671,8 +685,7 @@ def quotient_via_cauchy(
     v = cone.vertex
     if complex(f.base_point) != complex(v):
         raise ContourError("gallery base point must equal the cone vertex")
-    if N is None:
-        N = _inner_index(f, x, cone)
+    N = _contour_depth(f, x, cone, N)
     _check_x_admissible(x, cone, N, M)
     path = build_keyhole(cone, N, M)
 
@@ -712,8 +725,7 @@ def annular_decomposition(
     v = cone.vertex
     if complex(f.base_point) != complex(v):
         raise ContourError("gallery base point must equal the cone vertex")
-    if N is None:
-        N = _inner_index(f, x, cone)
+    N = _contour_depth(f, x, cone, N)
     if N == M:
         # degenerate split: no annular pieces, plain circle Cauchy formula
         if not (abs(x - v) < 2.0**-M and cone.contains(x, closed=False)):

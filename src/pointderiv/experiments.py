@@ -29,7 +29,8 @@ class LimitExperimentReport:
 
 
 def _fit_order(xs: list[float], devs: list[float]) -> float:
-    """Log-log slope of deviation against |x| over the last few scales.
+    """Log-log slope of deviation against the distances |x - x0| `xs` over
+    the last few scales.
 
     The least-squares slope through the points whose deviation exceeds
     EXACT_FLOOR, in closed form: a fit of at most 5 points needs no
@@ -48,6 +49,7 @@ def _limit_report(
     samples: list[tuple[complex, complex]],
     df: complex,
     limit_tol: float,
+    x0: complex,
 ) -> LimitExperimentReport:
     rows = tuple((x, q, abs(q - df)) for x, q in samples)
     tail = [d for _, _, d in rows[-5:]]
@@ -57,7 +59,7 @@ def _limit_report(
         order = math.nan
         verdict = INCONCLUSIVE
     else:
-        order = _fit_order([abs(x) for x, _, _ in rows[-5:]], tail)
+        order = _fit_order([abs(x - x0) for x, _, _ in rows[-5:]], tail)
         monotone = all(
             b <= a + EXACT_FLOOR for a, b in zip(tail, tail[1:])
         )
@@ -111,7 +113,7 @@ def _nontangential_limits(
     """`nontangential_limit` of each gallery function; the ray is checked
     and sampled once, and each f is evaluated on all samples in one call.
     f(x0) is evaluated only for an f not known to vanish there; v - 0j is
-    v bit for bit."""
+    v bit for bit, and so is x - 0j in the order fit."""
     x0 = domain.base_point
     xs = _ray_points(domain, ray, scales)
     reports = []
@@ -119,7 +121,7 @@ def _nontangential_limits(
         df = f.derivative(x0)
         fx0 = 0j if _vanishes_at(f, x0) else f(x0)
         samples = [(x, (v - fx0) / (x - x0)) for x, v in zip(xs, f(np.array(xs)).tolist())]
-        reports.append(_limit_report(samples, df, limit_tol))
+        reports.append(_limit_report(samples, df, limit_tol, x0))
     return reports
 
 

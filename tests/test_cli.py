@@ -580,6 +580,16 @@ CLIPPED_SHA256 = {
     "sweep.csv": "bbe305c66881d02e241685743087c637e4524394582124cd958364bf95253dd0",
 }
 
+# decompose.csv of the README, deep and clipped configs, written by the
+# release whose node bank was a zeroed array per plan.  The three configs
+# share the cone, the ray, the contour and their first gallery function, the
+# one decompose integrates, so they share one digest.
+DECOMPOSE_SHA256 = {
+    "readme": "65e2b58578c127e0a1ade64bff21f1999d68d0bb2002ac3ab82b9c0992eacea6",
+    "deep": "65e2b58578c127e0a1ade64bff21f1999d68d0bb2002ac3ab82b9c0992eacea6",
+    "clipped": "65e2b58578c127e0a1ade64bff21f1999d68d0bb2002ac3ab82b9c0992eacea6",
+}
+
 README_LEMMA_CHECK_CSV = """\
 radius,integral_magnitude,content_upper,seminorm,kappa_hat
 0.4,1.0053096491487339,0.7155417527999328,0.8944271909999161,1.5707963267948961
@@ -609,6 +619,48 @@ def test_readme_limit_sweep_lemma_check_bytes(tmp_path):
         for name, digest in digests.items():
             got = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert got == digest, (raw["n_max"], name)
+
+
+def test_decompose_bytes(tmp_path):
+    configs = {"readme": README_CONFIG, "deep": DEEP_CONFIG, "clipped": CLIPPED_LIMIT_CONFIG}
+    for name, raw in configs.items():
+        out = tmp_path / name
+        assert run("decompose", readme_config(tmp_path, raw, f"{name}.json"), out) == 0
+        got = hashlib.sha256((out / "decompose.csv").read_bytes()).hexdigest()
+        assert got == DECOMPOSE_SHA256[name], name
+
+
+def test_limit_order_off_origin_base_point(tmp_path, capsys):
+    # the order is fitted against |x - x0|; against |x| it read -3.52e+05
+    raw = {
+        "domain": {"holes": [{"center": 0.75, "radius": 0.05}], "base_point": 0.5},
+        "ray": {},
+        "gallery": [{"poly": [0, 0, 1]}, {"poly": [0, 0, 0, 1]}],
+    }
+    assert run("limit", readme_config(tmp_path, raw), tmp_path / "o") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" order ")[1] for line in lines[:2]] == ["1", "1"]
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"M": 1, "x_scale_index": 1100}, "x = 0j is the cone vertex"),
+        ({"M": 1, "x_scale_index": 1000}, "contour depth N = 1005 exceeds 510"),
+        ({"M": 1, "N": 2000}, "contour depth N = 2000 exceeds 510"),
+    ],
+    ids=["x-on-vertex", "derived-N", "given-N"],
+)
+def test_decompose_past_float64_depth_exit_2(tmp_path, capsys, monkeypatch, section, message):
+    # refused before any integral: the unchecked run exhausts memory
+    monkeypatch.setattr(contour, "_integrate_many", lambda *a: pytest.fail("integrated"))
+    p = readme_config(tmp_path, dict(README_CONFIG, contour=section))
+    t0 = time.perf_counter()
+    assert run("decompose", p, tmp_path / "o") == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_limit_checks_the_ray_once(tmp_path, monkeypatch):

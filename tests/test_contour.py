@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -635,9 +636,10 @@ def test_level0_memo_is_read_only_and_small(domain):
     for bank in banks:
         with pytest.raises(ValueError):
             bank.level0[...] = 0
-        # only the visited rows are stored
-        assert len(bank.rows) == np.count_nonzero(bank.slot >= 0)
-    assert sum(b.level0.nbytes + b.slot.nbytes + b.rows.nbytes for b in banks) <= 2.5e6
+        # only the visited rows are stored, each in a slot of its own
+        (rows,), slot = bank.rows.arrays, bank.rows.slot
+        assert (np.sort(slot[slot >= 0]) == np.arange(len(rows))).all()
+    assert sum(b.level0.nbytes + b.rows.slot.nbytes + b.rows.arrays[0].nbytes for b in banks) <= 2.5e6
 
 
 def test_f_bank_cold_and_warm_bits(domain, monkeypatch):
@@ -664,6 +666,19 @@ def test_f_bank_cold_and_warm_bits(domain, monkeypatch):
     assert max(d[0] for _, d in levels) >= contour._BANK_DEPTH
 
 
+# SHA-256 of `_report_bits` over the benchmark's grid (27 functions, 10 ray
+# points, tol 1e-10) and NEAR at four points, which refines past the bank;
+# written by the release whose node bank was a zeroed array per plan
+GRID_REPORTS_SHA256 = "0ef21d57665ca9e59e186960d4a0ae023a42b49679d8fe290ff0d7fc7cb329e1"
+
+
+def test_decomposition_grid_report_bits_pinned(domain):
+    cases = [(f, x) for f in build_test_gallery(domain, 27) for x in GRID_XS]
+    cases += [(NEAR, x) for x in (-0.3, -0.1, -0.02, -0.006)]
+    bits = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-10)) for f, x in cases]
+    assert hashlib.sha256(repr(bits).encode()).hexdigest() == GRID_REPORTS_SHA256
+
+
 def test_f_bank_fill_that_raises_marks_no_row(monkeypatch):
     x = -0.1
     contour._f_bank.cache_clear()
@@ -686,7 +701,8 @@ def test_f_bank_fill_that_raises_marks_no_row(monkeypatch):
     bank = contour._f_bank(NEAR, contour._decomposition_contours(CONE, 1, 10))
     assert sizes[0] == len(bank.level0) == 1890
     # the rows of level 1 are kept, and no row of level 2 is marked
-    assert np.count_nonzero(bank.slot >= 0) == len(bank.rows) == sizes[1] // (2 * len(_GL_NODES))
+    held = np.count_nonzero(bank.rows.slot >= 0)
+    assert held == len(bank.rows.arrays[0]) == sizes[1] // (2 * len(_GL_NODES))
     monkeypatch.setattr(GalleryFunction, "__call__", call)
     assert _report_bits(annular_decomposition(NEAR, x, CONE, M=1, N=10)) == want
 
@@ -783,6 +799,11 @@ def _bank_bits(nodes):
     return [a.tobytes() for a in nodes]
 
 
+def _many_on(plan, integrand):
+    values, errors, evaluations = contour._integrate_many(plan, integrand, 1e-10 / 11)
+    return [a.tobytes() for a in (values, errors, evaluations)]
+
+
 BANK_PLANS = {
     "decomposition": lambda: tuple(_decomposition_paths()),
     "keyhole": lambda: (build_keyhole(CONE, N=10, M=1),),
@@ -793,8 +814,8 @@ BANK_PLANS = {
 def test_bank_rows_are_panel_nodes(name, monkeypatch):
     paths = BANK_PLANS[name]()
     plan = contour._plan.__wrapped__(paths)  # built afresh, with an empty bank
-    z, vel, half, filled = plan.bank
-    assert not filled.any()
+    bank = plan.bank
+    assert (bank.slot == -1).all() and all(len(a) == 0 for a in bank.arrays)
     levels = _spy_levels(monkeypatch)
 
     def integrand(z):
@@ -803,20 +824,25 @@ def test_bank_rows_are_panel_nodes(name, monkeypatch):
 
     contour._integrate_many(plan, integrand, 1e-10)
     _check_levels(levels)
-    assert 0 < filled.sum() < len(filled)
+    held = np.count_nonzero(bank.slot >= 0)
+    assert 0 < held == len(bank.arrays[0]) < len(bank.slot)
     # the level loop's rows, and the rest filled by one call per level
-    rows = np.arange(len(filled))
+    rows = np.arange(len(bank.slot))
     panels = np.array([_panel_of_row(int(r)) for r in rows])
     for level in range(1, contour._BANK_DEPTH):
         at = panels[:, 1] == level
-        got = contour._banked_nodes(plan, rows[at], panels[at, 0], panels[at, 2], level)
-        assert [a.tobytes() for a in got] == [a[rows[at]].tobytes() for a in (z, vel, half)]
-    assert filled.all()
+        z, vel, half = contour._banked_nodes(plan, rows[at], panels[at, 0], panels[at, 2], level)
+        assert half == 2.0 ** -(level + 2)
+        stored = [a[bank.slot[rows[at]]] for a in bank.arrays]
+        assert _bank_bits((z, vel)) == _bank_bits(stored)
+    # every row held once, at exact size
+    assert (np.sort(bank.slot) == rows).all() and len(bank.arrays[0]) == len(rows)
     for r, (i, level, k) in zip(rows, panels.tolist()):
         lo, hi = k / 2**level, (k + 1) / 2**level
         mid = 0.5 * (lo + hi)
         want = contour._panel_nodes(plan.table, np.array([i]), np.array([[lo, mid]]), np.array([[mid, hi]]))
-        assert _bank_bits((z[r], vel[r], half[r])) == _bank_bits(a[0] for a in want)
+        assert _bank_bits(a[bank.slot[r]] for a in bank.arrays) == _bank_bits(a[0] for a in want[:2])
+        assert (want[2][0] == 2.0 ** -(level + 2)).all()
 
 
 @pytest.mark.parametrize("batch", [256, 2])
@@ -840,14 +866,64 @@ def test_decomposition_bits_without_bank(batch, gallery, monkeypatch):
     assert bypassed == banked
 
 
-def test_decomposition_bank_memory_bound():
-    # the bank is allocated zeroed and filled a row at a time, so its
-    # allocated bytes bound what of it can become resident
-    plan = contour._decomposition_contours(CONE, 1, 10)
-    assert sum(a.nbytes for a in plan.bank) <= 0.65e6
-    fresh = contour._plan.__wrapped__(tuple(_decomposition_paths()))
-    contour._integrate_many(fresh, lambda z: 0.0 * z, 1e-10)
-    assert not fresh.bank[3].any()  # no panel was refined, no row filled
+def test_decomposition_bank_memory_bound(domain, monkeypatch):
+    # at N = 10 and N = 100 a plan's node bank holds exactly the rows its
+    # loops asked for, in no more bytes than those rows and the slot map
+    asked = []
+    banked = contour._banked_nodes
+
+    def spy(plan, row, *args):
+        asked.append(row)
+        return banked(plan, row, *args)
+
+    monkeypatch.setattr(contour, "_banked_nodes", spy)
+    gallery = build_test_gallery(domain, 27)
+    for N in (10, 100):
+        paths = [build_annular_piece(n, CONE).reversed() for n in range(1, N + 1)]
+        fresh = contour._plan.__wrapped__((*paths, full_circle(0j, 0.5)))
+        contour._integrate_many(fresh, lambda z: 0.0 * z, 1e-10)
+        assert (fresh.bank.slot == -1).all()  # no panel was refined, no row held
+        for cache in (contour._plan, contour._decomposition_contours, contour._f_bank):
+            cache.cache_clear()
+        asked.clear()
+        for f in gallery:
+            for x in GRID_XS:
+                annular_decomposition(f, x, CONE, M=1, N=N)
+        bank = contour._decomposition_contours(CONE, 1, N).bank
+        visited = np.unique(np.concatenate(asked))
+        assert (np.flatnonzero(bank.slot >= 0) == visited).all()
+        row_bytes = 2 * 2 * len(_GL_NODES) * 16  # z and velocities of two halves
+        assert sum(a.nbytes for a in bank.arrays) == len(visited) * row_bytes
+        # about 0.18 MB at N = 10 and 0.22 MB at N = 100
+        assert sum(a.nbytes for a in bank.arrays) + bank.slot.nbytes <= 0.25e6, N
+
+
+def test_node_bank_fill_that_raises_marks_no_row(monkeypatch):
+    plan = contour._plan.__wrapped__(tuple(_decomposition_paths()))
+    f, x = NEAR, -0.1
+
+    def integrand(z):
+        return f(z) / (z * (z - x))
+
+    want = _many_on(contour._plan.__wrapped__(tuple(_decomposition_paths())), integrand)
+    level_nodes = contour._level_nodes
+    before = []
+
+    def failing(table, idx, k, level):
+        if level == 2:
+            before.append((plan.bank.slot.copy(), [a.copy() for a in plan.bank.arrays]))
+            raise RuntimeError("nodes failed")
+        return level_nodes(table, idx, k, level)
+
+    monkeypatch.setattr(contour, "_level_nodes", failing)
+    with pytest.raises(RuntimeError, match="nodes failed"):
+        _many_on(plan, integrand)
+    [(slot, arrays)] = before
+    assert np.count_nonzero(slot >= 0) > 0  # the rows of level 1 are kept
+    assert (plan.bank.slot == slot).all()
+    assert _bank_bits(plan.bank.arrays) == _bank_bits(arrays)
+    monkeypatch.setattr(contour, "_level_nodes", level_nodes)
+    assert _many_on(plan, integrand) == want
 
 
 def test_full_circle_memoised_and_equal_paths_share_results():
@@ -935,6 +1011,19 @@ def test_default_inner_index_clears_singularities(domain):
 def test_default_inner_index_rejects_disk_at_vertex():
     with pytest.raises(ContourError):
         quotient_via_cauchy(conjugate_function(), -0.1, CONE, M=1)
+
+
+def test_contour_depth_past_float64_rejected(monkeypatch):
+    # x on the vertex, and N given or derived past 510, fail before any integral
+    monkeypatch.setattr(contour, "_integrate_many", lambda *a: pytest.fail("integrated"))
+    f = GalleryFunction(poly_coeffs=(0, 0, 1))
+    for run in (quotient_via_cauchy, annular_decomposition):
+        with pytest.raises(ContourError, match="cone vertex"):
+            run(f, 0j, CONE)
+        with pytest.raises(ContourError, match="N = 511 exceeds 510"):
+            run(f, -0.1, CONE, N=511)
+        with pytest.raises(ContourError, match="N = 1005 exceeds 510"):
+            run(f, complex(-0.75 * 0.25 * 2.0**-1000), CONE)
 
 
 def test_quotient_rejects_x_outside_cone():

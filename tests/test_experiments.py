@@ -171,7 +171,7 @@ def _scalar_limit(f, domain, ray, scales, limit_tol):
     for j in range(scales + 1):
         x = ray.point(ray.length * 2.0**-j)
         samples.append((x, (f(x) - f(x0)) / (x - x0)))
-    return _limit_report(samples, f.derivative(x0), limit_tol)
+    return _limit_report(samples, f.derivative(x0), limit_tol, x0)
 
 
 def test_gallery_limits_equal_scalar_runs(domain, ray):
