@@ -375,7 +375,9 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
     beyond level 0 would outnumber `_MAX_PANELS` (2^15 panels of 30 points
     each); the error names the leftmost splitting panel of that level.  A
     path that reaches level 48 within its budget fails on the panel the
-    depth-first recursion fails on.
+    depth-first recursion fails on.  It also fails, naming the rounding
+    floor, when the panels stopped there and the summed error estimate
+    exceeds `tol`, so a returned result always has error_estimate <= tol.
     """
     values, errors, evaluations = _integrate_many(_plan((path,)), integrand, tol)
     return QuadratureResult(complex(values[0]), float(errors[0]), int(evaluations[0]))
@@ -389,11 +391,13 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
     Each refinement level sends the panels of every path to `integrand` in
     one call.  A path keeps its own tolerance shares, tree-order sums and
     panel budget, and every panel sum is reduced on its own, so each result
-    is bitwise the one of a call for its path alone.  A path that fails
-    stops refining, and so does every later path of the set: the
-    `ToleranceError` raised is that of the first failing path, as in a loop
-    of single calls.  What depends only on the paths, up to the nodes of
-    level 0 and the bank of shallow panel nodes, comes from the plan.
+    is bitwise the one of a call for its path alone.  A path that fails on
+    depth or budget stops refining, and so does every later path of the set;
+    a path fails on the rounding floor once its sums are added up.  The
+    `ToleranceError` raised is that of the first failing path, whatever its
+    limit, as in a loop of single calls.  What depends only on the paths, up
+    to the nodes of level 0 and the bank of shallow panel nodes, comes from
+    the plan.
 
     With `fbank`, the `_f_bank` of an elementwise function f on this plan,
     `integrand(z, fz)` is a kernel that takes f's values fz at the points z
@@ -440,7 +444,7 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
                 # this path and every later one stop; an earlier one may still fail
                 p = int(np.argmax(over))
                 i = np.flatnonzero(split & (pid == p))[0]
-                failure = level, k[i], ptol[i], fine[i], err[i]
+                failure = p, level, k[i], ptol[i], fine[i], err[i]
                 split &= pid < p
                 count = 2 * np.count_nonzero(split)
         if not count:
@@ -469,16 +473,6 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
             fz = fbank.rows.get(row, lambda new: (fbank.f(nodes[0][new].ravel()),))[0]
             values = integrand(z, fz.ravel())
         halves = _panel_sums(nodes, values)
-    if failure:
-        depth, j, t, best, err = failure
-        w = 2.0**-depth
-        why = "the depth limit" if depth >= _MAX_DEPTH else f"the budget of {_MAX_PANELS} panels"
-        raise ToleranceError(
-            f"adaptive quadrature stalled at {why} on [{j * w}, {(j + 1) * w}] "
-            f"(err {err:.3g} > tol {t:.3g})",
-            best=complex(best),
-            error_estimate=float(err),
-        )
     # a split panel's value and error are its halves', added bottom-up
     for d in range(level, 0, -1):
         fines[d - 1][splits[d - 1]] = fines[d][0::2] + fines[d][1::2]
@@ -490,6 +484,26 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
     values.real = np.bincount(path_of, fines[0].real, n_paths)
     values.imag = np.bincount(path_of, fines[0].imag, n_paths)
     errors = np.bincount(path_of, errs[0], n_paths)
+    # only panels stopped by the floor can take a path's sum past its tolerance
+    floor = np.flatnonzero(errors[: failure[0] if failure else n_paths] > tol)
+    if floor.size:
+        p = floor[0]
+        raise ToleranceError(
+            f"adaptive quadrature stopped at the rounding floor 1e-16 (1 + |panel sum|) "
+            f"with error estimate {errors[p]:.3g} > tol {tol:.3g}",
+            best=complex(values[p]),
+            error_estimate=float(errors[p]),
+        )
+    if failure:
+        _, depth, j, t, best, err = failure
+        w = 2.0**-depth
+        why = "the depth limit" if depth >= _MAX_DEPTH else f"the budget of {_MAX_PANELS} panels"
+        raise ToleranceError(
+            f"adaptive quadrature stalled at {why} on [{j * w}, {(j + 1) * w}] "
+            f"(err {err:.3g} > tol {t:.3g})",
+            best=complex(best),
+            error_estimate=float(err),
+        )
     return values, errors, plan.evaluations + 2 * len(_GL_NODES) * refined_per_path()
 
 
@@ -632,16 +646,11 @@ def _check_poles_off_contours(f: GalleryFunction, cone: ConeSpec, M: int, N: int
                 raise ContourError(f"pole {p} of f lies on the cone edge at angle {a}")
 
 
-def default_inner_index(x: complex, cone: ConeSpec) -> int:
-    """Smallest N >= 2 with 2^-N <= |x - vertex| / 4."""
-    r = abs(x - cone.vertex)
-    return max(2, int(math.ceil(-math.log2(r / 4.0))))
-
-
 def _inner_index(f: GalleryFunction, x: complex, cone: ConeSpec) -> int:
-    """Default inner index for f: at least `default_inner_index(x, cone)`, and
-    large enough that no singularity of f lies in |z - vertex| <= 2^-N, where
-    its residue would enter the Cauchy integral."""
+    """Default inner index for f at x != vertex: the smallest N >= 2 with
+    2^-N <= |x - vertex| / 4 and no singularity of f in |z - vertex| <= 2^-N,
+    where its residue would enter the Cauchy integral.  `_contour_depth`
+    checks x and caps N."""
     v = cone.vertex
     dist = min(
         [abs(p - v) for p, _ in f.rational_terms]
@@ -650,7 +659,7 @@ def _inner_index(f: GalleryFunction, x: complex, cone: ConeSpec) -> int:
     )
     if dist <= 0.0:
         raise ContourError("a Cauchy-transform disk of f reaches the cone vertex")
-    N = default_inner_index(x, cone)
+    N = max(2, int(math.ceil(-math.log2(abs(x - v) / 4.0))))
     while 2.0**-N >= dist:
         N += 1
     return N

@@ -80,14 +80,14 @@ class RoadrunnerFamily:
     def common_ratio(self, alpha: float) -> float:
         return 4.0 * self.radius_ratio ** (1.0 + alpha)
 
-    def tail(self, alpha: float, after: int) -> float:
-        """Sum of closed-form terms for n > after (infinity if divergent)."""
+    def tail_verdict(self, alpha: float, after: int) -> tuple[float, str]:
+        """The closed-form sum of the terms n > after and the family's
+        verdict: BPD_SUFFICIENT if the common ratio q is below 1, else an
+        infinite tail and DIVERGENT_UPPER_BOUND."""
         q = self.common_ratio(alpha)
         if q >= 1.0:
-            return math.inf
-        start = max(after + 1, self.n_min)
-        first = self.term(start, alpha)
-        return first / (1.0 - q)
+            return math.inf, DIVERGENT_UPPER_BOUND
+        return self.term(max(after + 1, self.n_min), alpha) / (1.0 - q), BPD_SUFFICIENT
 
 
 def threshold_radius_ratio(alpha: float) -> float:
@@ -145,13 +145,10 @@ def lord_ofarrell_series(
     if isinstance(family, RoadrunnerFamily):
         q = family.common_ratio(alpha)
         threshold = threshold_radius_ratio(alpha)
-        if q < 1.0:
-            tail = family.tail(alpha, after=max(n_max, family.n_min - 1))
-            verdict = BPD_SUFFICIENT
+        tail, verdict = family.tail_verdict(alpha, after=max(n_max, family.n_min - 1))
+        if verdict == BPD_SUFFICIENT:
             notes = f"closed-form family tail, common ratio {q:.6g}"
         else:
-            tail = math.inf
-            verdict = DIVERGENT_UPPER_BOUND
             notes = f"closed-form family series diverges (common ratio {q:.6g})"
     else:
         deepest = max((n for n, _, w in terms if w > 0.0), default=0)
@@ -190,13 +187,7 @@ def parametric_verdict(family: RoadrunnerFamily, alpha: float) -> CriterionRepor
         acc += t
         terms.append((n, (2.0 * family.hole_radius(n)) ** (1.0 + alpha), t))
         partial.append(acc)
-    last_n = family.n_min + 11
-    if q < 1.0:
-        tail = family.tail(alpha, after=last_n)
-        verdict = BPD_SUFFICIENT
-    else:
-        tail = math.inf
-        verdict = DIVERGENT_UPPER_BOUND
+    tail, verdict = family.tail_verdict(alpha, after=family.n_min + 11)
     return CriterionReport(
         alpha=alpha,
         terms=tuple(terms),

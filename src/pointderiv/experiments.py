@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiskRegion, GeometryError, Ray, SwissCheeseDomain, check_ray
+from .geometry import DiskRegion, GeometryError, Ray, SwissCheeseDomain, ray_samples
 from .lipschitz import GalleryFunction, _max_ratio, _seminorm_pairs
 
 CONVERGED = "CONVERGED"
@@ -78,24 +78,6 @@ def _limit_report(
     )
 
 
-def _ray_points(domain: SwissCheeseDomain, ray: Ray, scales: int) -> list[complex]:
-    """The dyadic ray samples at distances length * 2^-j, j = 0..scales.
-
-    Raises GeometryError unless the ray starts at the base point and misses
-    every hole (`check_ray`), every sample lies in U and no sample is the
-    base point, where a difference quotient divides by zero.  Only these
-    samples are checked, not the 24 of `cone_samples`.
-    """
-    check_ray(domain, ray)
-    xs = [ray.point(ray.length * 2.0**-j) for j in range(scales + 1)]
-    for x in xs:
-        if x == domain.base_point:
-            raise GeometryError(f"ray sample {x} is the base point")
-        if not domain.contains(x):
-            raise GeometryError(f"ray sample {x} lies outside the domain")
-    return xs
-
-
 def _vanishes_at(f: GalleryFunction, x0: complex) -> bool:
     """Whether f(x0) is exactly 0j without evaluating it: f is normalized at
     its base point, and when that is the object x0 (as for every gallery a
@@ -115,7 +97,7 @@ def _nontangential_limits(
     f(x0) is evaluated only for an f not known to vanish there; v - 0j is
     v bit for bit, and so is x - 0j in the order fit."""
     x0 = domain.base_point
-    xs = _ray_points(domain, ray, scales)
+    xs = ray_samples(domain, ray, scales + 1)
     reports = []
     for f in gallery:
         df = f.derivative(x0)
@@ -144,6 +126,7 @@ class FunctionalSweepReport:
     max_ratio: float
     skipped: tuple[int, ...] = ()
     seminorm_pairs: int = 0  # sample pairs each seminorm was taken over
+    samples: tuple[complex, ...] = ()  # the ray samples, in ray order
 
 
 def functional_sweep(
@@ -167,7 +150,7 @@ def functional_sweep(
     x0 = domain.base_point
     region = DiskRegion(domain.outer.center, domain.outer.radius)
     zw, d_alpha = _seminorm_pairs(region, alpha, pair_count, seed)
-    xs = _ray_points(domain, ray, scales)
+    xs = ray_samples(domain, ray, scales + 1)
     # f is elementwise: one call gives its values at the pairs and the ray
     points = np.concatenate([zw, xs])
     rows = []
@@ -190,4 +173,5 @@ def functional_sweep(
         max_ratio=max_ratio,
         skipped=tuple(skipped),
         seminorm_pairs=len(d_alpha),
+        samples=tuple(xs),
     )

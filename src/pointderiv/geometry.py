@@ -246,7 +246,7 @@ def check_ray(domain: SwissCheeseDomain, ray: Ray) -> None:
 
     The hole test is exact, segment against disk; sampling alone can slip
     between dyadic points even when the ray crosses a hole.  Whether the
-    samples a caller takes lie in U is the caller's check.
+    samples a caller takes lie in U is `ray_samples`' check.
     """
     if ray.origin != domain.base_point:
         raise GeometryError("ray must start at the domain base point")
@@ -258,24 +258,32 @@ def check_ray(domain: SwissCheeseDomain, ray: Ray) -> None:
             raise GeometryError(f"ray passes through hole {h}")
 
 
+def ray_samples(domain: SwissCheeseDomain, ray: Ray, count: int) -> list[complex]:
+    """The ray at the `count` dyadic distances length * 2^-j, j < count.
+
+    Raises GeometryError unless `check_ray` passes, no sample is the base
+    point, where a difference quotient or a distance ratio divides by zero,
+    and every sample lies in U.
+    """
+    check_ray(domain, ray)
+    xs = [ray.point(ray.length * 2.0**-j) for j in range(count)]
+    for x in xs:
+        if x == domain.base_point:
+            raise GeometryError(f"ray sample {x} is the base point")
+        if not domain.contains(x):
+            raise GeometryError(f"ray sample {x} lies outside the domain")
+    return xs
+
+
 def cone_samples(
     domain: SwissCheeseDomain, ray: Ray
 ) -> list[tuple[int, float, complex, float, float]]:
-    """The ray at the 24 dyadic distances t = length * 2^-i, as rows
-    (i, t, x, boundary_distance(x), boundary_distance(x) / |x - x0|).
-
-    Raises GeometryError unless `check_ray` passes and every sample lies
-    in U.
-    """
-    check_ray(domain, ray)
+    """The 24 `ray_samples`, at t = length * 2^-i, as rows
+    (i, t, x, boundary_distance(x), boundary_distance(x) / |x - x0|)."""
     rows = []
-    for i in range(24):
-        t = ray.length * 2.0**-i
-        x = ray.point(t)
-        if not domain.contains(x):
-            raise GeometryError(f"ray sample {x} lies outside the domain")
+    for i, x in enumerate(ray_samples(domain, ray, 24)):
         bd = domain.boundary_distance(x)
-        rows.append((i, t, x, bd, bd / abs(x - domain.base_point)))
+        rows.append((i, ray.length * 2.0**-i, x, bd, bd / abs(x - domain.base_point)))
     return rows
 
 

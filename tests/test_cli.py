@@ -19,7 +19,7 @@ from pointderiv import (
     cli,
     conjugate_function,
     contour,
-    experiments,
+    geometry,
     lipschitz,
 )
 from pointderiv.cli import (
@@ -143,7 +143,8 @@ def test_decompose_command(tmp_path, capsys):
 
 
 def test_decompose_tolerance_failure_exit_3(tmp_path, capsys):
-    # an impossible tolerance makes the adaptive quadrature give up
+    # an impossible tolerance: the panels stop on the rounding floor, far
+    # above it, and the quadrature fails
     p = write_config(tmp_path)
     code = run("decompose", p, tmp_path / "o", "--tol", "1e-30")
     assert code == 3
@@ -151,23 +152,28 @@ def test_decompose_tolerance_failure_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, tol, ratio",
+    "command, tol, estimate",
     [
-        ("decompose", "1e-14", "1.33"),
+        ("decompose", "1e-14", "1.05e-15"),
         ("decompose", "1e-13", None),
-        ("lemma-check", "1e-17", "2.26"),
+        ("lemma-check", "1e-17", "2.26e-17"),
         ("lemma-check", "1e-16", None),
     ],
 )
-def test_error_estimate_above_tol_exit_3(tmp_path, capsys, command, tol, ratio):
-    # below about 1e-13 the paths certify on the rounding floor of their
-    # panels, with a worst error estimate above the tolerance
+def test_error_estimate_above_tol_exit_3(tmp_path, capsys, command, tol, estimate):
+    # below about 1e-13 the panels stop on their rounding floor, and the
+    # quadrature fails when the summed error estimate exceeds the tolerance
     out = tmp_path / "o"
     code = run(command, write_config(tmp_path), out, "--tol", tol)
     err = capsys.readouterr().err
-    if ratio:
+    if estimate:
+        # a decomposition path's tolerance is its share tol / 11
+        share = float(tol) / (11 if command == "decompose" else 1)
         assert code == 3
-        assert f"error estimate is {ratio} x tol {tol}" in err and "rounding floor" in err
+        assert err == (
+            "numerical tolerance failure: adaptive quadrature stopped at the rounding "
+            f"floor 1e-16 (1 + |panel sum|) with error estimate {estimate} > tol {share:.3g}\n"
+        )
         assert not out.exists()
     else:
         assert code == 0
@@ -311,7 +317,13 @@ def test_command_returns_what_main_writes(tmp_path, capsys):
     files, lines, stats = cmd_limit(RunContext(load_config(p), out, svg=True, command="limit"))
     assert not out.exists() and capsys.readouterr().out == ""
     assert sorted(files) == ["limit.csv", "limit.svg"]
-    assert stats == {"functions": 6, "ray_samples": 13}
+    assert stats == {
+        "functions": 6,
+        "ray_samples": 13,
+        "hole_free_radius": 0.001461029052734375,
+        "samples_in_hole_free_disk": 5,
+        "base_point_kind": "accumulation",
+    }
     assert run("limit", p, out, "--svg") == 0
     assert capsys.readouterr().out.splitlines() == lines
     assert sorted(q.name for q in out.iterdir()) == ["limit-manifest.json", *sorted(files)]
@@ -590,6 +602,17 @@ DECOMPOSE_SHA256 = {
     "clipped": "65e2b58578c127e0a1ade64bff21f1999d68d0bb2002ac3ab82b9c0992eacea6",
 }
 
+# cone.csv and the stdout of `cone` on the same three configs, written by the
+# release whose `cone_samples` and `limit` each sampled the ray on their own.
+# The ray runs along the cone axis, where the nearest boundary point of every
+# sample is the base point, so the three tables agree.
+CONE_SHA256 = {
+    "readme": "4b5abd3f3deb99c429781a16d578d4db34d882350ef001c737ab9a22d75164ed",
+    "deep": "4b5abd3f3deb99c429781a16d578d4db34d882350ef001c737ab9a22d75164ed",
+    "clipped": "4b5abd3f3deb99c429781a16d578d4db34d882350ef001c737ab9a22d75164ed",
+}
+CONE_STDOUT = "estimated_k 1.0\n"
+
 README_LEMMA_CHECK_CSV = """\
 radius,integral_magnitude,content_upper,seminorm,kappa_hat
 0.4,1.0053096491487339,0.7155417527999328,0.8944271909999161,1.5707963267948961
@@ -630,6 +653,16 @@ def test_decompose_bytes(tmp_path):
         assert got == DECOMPOSE_SHA256[name], name
 
 
+def test_cone_bytes(tmp_path, capsys):
+    configs = {"readme": README_CONFIG, "deep": DEEP_CONFIG, "clipped": CLIPPED_LIMIT_CONFIG}
+    for name, raw in configs.items():
+        out = tmp_path / name
+        assert run("cone", readme_config(tmp_path, raw, f"{name}.json"), out) == 0
+        got = hashlib.sha256((out / "cone.csv").read_bytes()).hexdigest()
+        assert got == CONE_SHA256[name], name
+        assert capsys.readouterr().out == CONE_STDOUT, name
+
+
 def test_limit_order_off_origin_base_point(tmp_path, capsys):
     # the order is fitted against |x - x0|; against |x| it read -3.52e+05
     raw = {
@@ -667,9 +700,9 @@ def test_limit_checks_the_ray_once(tmp_path, monkeypatch):
     # the exact hole test once, and none of the 24 boundary distances that
     # `cone` tabulates
     calls = []
-    real = experiments.check_ray
+    real = geometry.check_ray
     monkeypatch.setattr(
-        experiments, "check_ray", lambda *a, **k: calls.append(1) or real(*a, **k)
+        geometry, "check_ray", lambda *a, **k: calls.append(1) or real(*a, **k)
     )
     monkeypatch.setattr(
         SwissCheeseDomain, "boundary_distance", lambda *a: pytest.fail("boundary distance")
@@ -704,6 +737,30 @@ def test_bad_ray_exit_2_with_one_message(tmp_path, capsys, ray, message):
         assert run(command, p, tmp_path / "o") == 2, command
         assert capsys.readouterr().err == f"config error: {message}\n", command
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        README_CONFIG["domain"],
+        {"holes": [{"center": 0.5, "radius": 0.1}], "base_point_kind": "none"},
+    ],
+    ids=["roadrunner", "base-point-kind-none"],
+)
+def test_cone_samples_on_base_point_exit_2(tmp_path, capsys, domain):
+    # the one `limit` sample at 1e-320 passes the load-time check, but from
+    # sample 12 on the 24 cone samples underflow onto the base point; with
+    # kind "none" the distance ratio used to divide by zero, and on the
+    # roadrunner domain the sample was said to lie outside it
+    raw = dict(
+        README_CONFIG,
+        domain=domain,
+        ray={"direction": math.pi, "length": 1e-320, "scales": 0},
+        gallery=[{"poly": [0, 1]}],
+    )
+    assert run("cone", readme_config(tmp_path, raw), tmp_path / "o") == 2
+    assert capsys.readouterr().err == "config error: ray sample 0j is the base point\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_no_command_reaches_lapack(tmp_path, monkeypatch, capsys):
@@ -759,6 +816,26 @@ def test_manifest_counts_ray_samples(tmp_path):
     for command in ("limit", "sweep"):
         assert _manifest(tmp_path, command)["ray_samples"] == 21
         assert _manifest(tmp_path, command, short)["ray_samples"] == 8
+
+
+def test_manifest_records_the_hole_free_disk(tmp_path):
+    # hole 9 of the README family, centre 0.75 * 2^-9 and radius 4^-9, is
+    # the nearest; the samples 0.25 * 2^-j from j = 8 on lie inside its
+    # hole-free disk, where every gallery function is analytic
+    no_holes = dict(
+        README_CONFIG,
+        domain={"holes": [], "base_point_kind": "puncture"},
+        gallery=[{"poly": [0, 1]}],
+    )
+    for command in ("limit", "sweep"):
+        manifest = _manifest(tmp_path, command)
+        assert manifest["hole_free_radius"] == 0.75 * 2.0**-9 - 4.0**-9 == 0.001461029052734375
+        assert manifest["samples_in_hole_free_disk"] == 13
+        assert manifest["base_point_kind"] == "accumulation"
+        manifest = _manifest(tmp_path, command, no_holes)
+        assert manifest["hole_free_radius"] is None
+        assert manifest["samples_in_hole_free_disk"] == 21
+        assert manifest["base_point_kind"] == "puncture"
 
 
 def test_manifest_counts_seminorm_pairs(tmp_path):

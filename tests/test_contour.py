@@ -32,9 +32,9 @@ from pointderiv.contour import (
     ContourPath,
     Segment,
     ToleranceError,
-    default_inner_index,
+    _inner_index,
 )
-from pointderiv.geometry import annulus_minus_cone_region, annulus_radii
+from pointderiv.geometry import Ray, annulus_minus_cone_region, annulus_radii
 
 CONE = ConeSpec(vertex=0j, direction=math.pi, half_angle=math.pi / 6, length=0.5, k=0.45)
 
@@ -461,6 +461,21 @@ def test_integrate_many_raises_first_failing_path():
         assert _error_bits(err.value) == _solo_error(first)
 
 
+def test_integrate_many_raises_first_failing_path_whatever_its_limit():
+    # at tol 1e-16 the circle |z| = 0.5 stops on the rounding floor, while
+    # the circles through a pole spend their budget
+    floor, one, three = full_circle(0j, 0.5), FAILING["one"], FAILING["three"]
+
+    def error(paths):
+        with pytest.raises(ToleranceError) as err:
+            _many(paths, _two_poles, 1e-16)
+        return _error_bits(err.value)
+
+    assert "rounding floor" in error([floor])[0] and "budget" in error([one])[0]
+    for paths in ([floor, one], [one, floor], [three, floor, one], [floor, floor, three]):
+        assert error(paths) == error(paths[:1])
+
+
 def test_integrate_many_wide_path_beside_small_ones():
     # one path needs hundreds of panels a level, the others one each
     def integrand(z):
@@ -677,6 +692,43 @@ def test_decomposition_grid_report_bits_pinned(domain):
     cases += [(NEAR, x) for x in (-0.3, -0.1, -0.02, -0.006)]
     bits = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-10)) for f, x in cases]
     assert hashlib.sha256(repr(bits).encode()).hexdigest() == GRID_REPORTS_SHA256
+
+
+@pytest.mark.parametrize(
+    "tol, raised", [(1e-10, 0), (1e-13, 0), (1e-14, 128), (1e-15, 230), (1e-16, 268)]
+)
+def test_decomposition_grid_success_meets_its_tolerance(domain, tol, raised):
+    # below about 1e-13 panels stop on the rounding floor 1e-16 (1 + |fine|),
+    # and a path whose summed estimate then exceeds its tolerance fails
+    # instead of returning err_to_tol up to 327
+    failures = 0
+    for f in build_test_gallery(domain, 27):
+        for x in GRID_XS:
+            try:
+                rep = annular_decomposition(f, x, CONE, M=1, N=10, tol=tol)
+            except ToleranceError as err:
+                assert "rounding floor" in str(err) and err.error_estimate > tol / 11
+                failures += 1
+            else:
+                assert rep.err_to_tol <= 1.0
+    assert failures == raised
+
+
+def test_library_quadrature_fails_at_the_rounding_floor(domain):
+    # the README's `decompose` point, its lemma check and one contour integral
+    x = Ray(0j, math.pi, 0.25).point(0.75 * 0.25 * 2.0**-2)
+    f = build_test_gallery(domain, 6)[0]
+    assert annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-13).err_to_tol <= 1.0
+    with pytest.raises(ToleranceError, match="rounding floor"):
+        annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-14)
+    setup = conjugate_function(), full_circle(0j, 0.4), DiskRegion(0j, 0.4), 0.5
+    assert lemma_cauchy_bound_check(*setup, tol=1e-16).err_to_tol <= 1.0
+    with pytest.raises(ToleranceError, match="rounding floor"):
+        lemma_cauchy_bound_check(*setup, tol=1e-17)
+    with pytest.raises(ToleranceError, match="rounding floor") as err:
+        integrate_contour(full_circle(0j, 0.5), _two_poles, tol=1e-16)
+    # the poles lie outside the circle: the best value is 0 to rounding
+    assert err.value.error_estimate > 1e-16 and abs(err.value.best) <= 1e-14
 
 
 def test_f_bank_fill_that_raises_marks_no_row(monkeypatch):
@@ -992,8 +1044,8 @@ def test_quotient_ct_gallery():
 
 
 def test_quotient_default_inner_index():
-    assert default_inner_index(-0.1, CONE) == max(2, math.ceil(-math.log2(0.025)))
     f = GalleryFunction(poly_coeffs=(0, 1))
+    assert _inner_index(f, -0.1, CONE) == max(2, math.ceil(-math.log2(0.025)))
     q = quotient_via_cauchy(f, -0.1, CONE, M=1, tol=1e-10)
     assert abs(q - 1.0) <= 1e-8
 
@@ -1002,7 +1054,7 @@ def test_default_inner_index_clears_singularities(domain):
     # at x = -0.35 the index from |x| alone is 4, and 2^-4 encloses the holes
     # from n = 5 on; every gallery function must still give f(x)/x
     x = -0.35
-    assert default_inner_index(x, CONE) == 4
+    assert _inner_index(GalleryFunction(poly_coeffs=(0, 1)), x, CONE) == 4
     for f in build_test_gallery(domain, 27):
         assert abs(quotient_via_cauchy(f, x, CONE, M=1) - f(x) / x) <= 1e-9
         assert annular_decomposition(f, x, CONE, M=1).residual <= 2e-10

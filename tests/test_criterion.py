@@ -69,6 +69,22 @@ def test_parametric_verdict_divergent():
     assert parametric_verdict(fam, 0.5).verdict == DIVERGENT_UPPER_BOUND
 
 
+def test_family_verdicts_follow_one_rule():
+    # both reports take the tail and verdict of the family past their last term
+    convergent = RoadrunnerFamily()
+    divergent = RoadrunnerFamily(radius_scale=0.2, radius_ratio=0.5)
+    assert convergent.tail_verdict(0.5, after=12) == (
+        convergent.term(13, 0.5) / (1 - convergent.common_ratio(0.5)),
+        BPD_SUFFICIENT,
+    )
+    assert divergent.tail_verdict(0.5, after=12) == (math.inf, DIVERGENT_UPPER_BOUND)
+    for fam in (convergent, divergent):
+        series = lord_ofarrell_series(fam.domain(), 0.5, n_max=12)
+        par = parametric_verdict(fam, 0.5)
+        assert (series.tail_bound, series.verdict) == fam.tail_verdict(0.5, after=12)
+        assert (par.tail_bound, par.verdict) == fam.tail_verdict(0.5, after=fam.n_min + 11)
+
+
 def test_threshold():
     assert threshold_radius_ratio(0.5) == pytest.approx(4.0 ** (-2.0 / 3.0), abs=1e-15)
     assert threshold_radius_ratio(0.5) == pytest.approx(0.3968502629920499, abs=1e-12)
