@@ -410,9 +410,9 @@ def _hole_free_stats(domain: SwissCheeseDomain, xs) -> dict:
     JSON has no infinity), the ray samples xs inside that disk, where every
     gallery function is analytic, and why x0 is a boundary point."""
     x0 = domain.base_point
-    radius = min((abs(h.center - x0) - h.radius for h in domain.holes), default=math.inf)
+    radius = min((e[2] for e in domain._holes_meeting(0.0, math.inf)), default=math.inf)
     return {
-        "hole_free_radius": radius if domain.holes else None,
+        "hole_free_radius": radius if radius < math.inf else None,
         "samples_in_hole_free_disk": sum(abs(x - x0) < radius for x in xs),
         "base_point_kind": domain.base_point_kind,
     }

@@ -34,17 +34,13 @@ class ContentEstimate:
 
 
 def _pieces_disjoint(pieces: list[ClippedPiece]) -> bool:
+    # overlap: the holes meet, and they differ or their radial bands overlap
     for i, a in enumerate(pieces):
         for b in pieces[i + 1 :]:
-            if a.hole is b.hole or (
-                abs(a.hole.center - b.hole.center) <= a.hole.radius + b.hole.radius
+            if abs(a.hole.center - b.hole.center) <= a.hole.radius + b.hole.radius and (
+                a.hole != b.hole or min(a.r_outer, b.r_outer) > max(a.r_inner, b.r_inner)
             ):
-                # same hole: disjoint iff radial bands do not overlap
-                if a.hole == b.hole:
-                    if min(a.r_outer, b.r_outer) > max(a.r_inner, b.r_inner):
-                        return False
-                else:
-                    return False
+                return False
     return True
 
 

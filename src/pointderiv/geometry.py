@@ -39,9 +39,8 @@ class Disk:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, z: complex, closed: bool = True) -> bool:
-        d = abs(complex(z) - self.center)
-        return d <= self.radius if closed else d < self.radius
+    def contains(self, z: complex) -> bool:
+        return abs(complex(z) - self.center) <= self.radius
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         c, r = self.center, self.radius
@@ -63,6 +62,11 @@ class SwissCheeseDomain:
     "puncture" (explicitly removed point), "accumulation" (holes pile up at
     it; with a finite truncation this is recorded, not proven), or "none"
     (the base point is not treated as a boundary point at all).
+
+    Each hole's radial extent about x0, (|c - x0| - r, |c - x0| + r), is stored once;
+    which holes matter is one query, `_holes_meeting(lo, hi)`, before each caller's
+    exact per-hole test.  `contains` asks for [rho, rho], rho = |z - x0|, and
+    `boundary_distance` for [rho - d, rho + d], d the outer-disk and base-point distance.
     """
 
     outer: Disk = Disk(0j, 1.0)
@@ -73,20 +77,23 @@ class SwissCheeseDomain:
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(self.holes))
-        object.__setattr__(
-            self, "base_point", _require_finite(self.base_point, "base point")
-        )
+        x0 = _require_finite(self.base_point, "base point")
+        object.__setattr__(self, "base_point", x0)
+        extents = []
         for h in self.holes:
             if abs(h.center - self.outer.center) + h.radius >= self.outer.radius:
-                raise GeometryError(
-                    f"hole {h} does not lie inside the open outer disk {self.outer}"
-                )
-        for i, a in enumerate(self.holes):
-            for b in self.holes[i + 1 :]:
-                if abs(a.center - b.center) <= a.radius + b.radius:
-                    raise GeometryError(f"holes {a} and {b} are not disjoint")
-        for h in self.holes:
-            if h.contains(self.base_point):
+                raise GeometryError(f"hole {h} does not lie inside the open outer disk {self.outer}")
+            d = abs(h.center - x0)
+            slack = 1e-12 * (abs(x0) + d + h.radius)  # above any rounding of the exact tests
+            extents.append((d - h.radius - slack, d + h.radius + slack, d - h.radius, d + h.radius, h))
+        object.__setattr__(self, "_extents", tuple(extents))
+        for e in extents:  # holes that meet have meeting extents; test pairs from the earlier
+            near = self._holes_meeting(e[2], e[3])
+            for _, _, _, _, b in near[near.index(e) + 1 :]:
+                if abs(e[4].center - b.center) <= e[4].radius + b.radius:
+                    raise GeometryError(f"holes {e[4]} and {b} are not disjoint")
+        for _, _, _, _, h in self._holes_meeting(0.0, 0.0):
+            if h.contains(x0):
                 raise GeometryError(f"hole {h} contains the base point")
         kind = self.base_point_kind
         if kind == "auto":
@@ -107,6 +114,14 @@ class SwissCheeseDomain:
     def base_is_boundary(self) -> bool:
         return self.base_point_kind in ("puncture", "accumulation")
 
+    def _holes_meeting(self, lo: float, hi: float) -> list[tuple]:
+        """Rows (widened inner, widened outer, inner, outer, hole), in domain order, whose
+        extent meets [lo, hi].  Window and extents are widened by 1e-12 of their distances,
+        so rounding never drops a hole an exact test flags; a NaN window returns them all."""
+        tol = 1e-12 * (abs(lo) + abs(hi))
+        lo, hi = lo - tol, hi + tol
+        return [e for e in self._extents if not (e[0] > hi or e[1] < lo)]
+
     def contains(self, z: complex) -> bool:
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -115,7 +130,8 @@ class SwissCheeseDomain:
             return False
         if self.base_is_boundary and z == self.base_point:
             return False
-        for h in self.holes:
+        rho = abs(z - self.base_point)
+        for _, _, _, _, h in self._holes_meeting(rho, rho):
             if abs(z - h.center) <= h.radius:
                 return False
         return True
@@ -125,11 +141,13 @@ class SwissCheeseDomain:
         z = complex(z)
         if not self.contains(z):
             raise GeometryError(f"{z} is not an interior point of the domain")
+        rho = abs(z - self.base_point)
         d = self.outer.radius - abs(z - self.outer.center)
-        for h in self.holes:
-            d = min(d, abs(z - h.center) - h.radius)
         if self.base_is_boundary:
-            d = min(d, abs(z - self.base_point))
+            d = min(d, rho)
+        # a hole whose extent misses [rho - d, rho + d] is farther than d
+        for _, _, _, _, h in self._holes_meeting(rho - d, rho + d):
+            d = min(d, abs(z - h.center) - h.radius)
         return d
 
 
@@ -220,7 +238,8 @@ def validate_cone(domain: SwissCheeseDomain, cone: ConeSpec) -> None:
     combination, with positive weight, of the vertex and an arc point; so the
     sector minus its vertex lies in the open outer disk iff the vertex lies
     in the closed disk and the arc's farthest point in the open one.  A
-    closed hole misses the sector iff its center is farther than its radius.
+    closed hole misses the sector iff its center is farther than its radius;
+    only the holes meeting the radial window [0, length] are tested.
     """
     if cone.vertex != domain.base_point:
         raise GeometryError("cone vertex must be the domain base point")
@@ -235,7 +254,7 @@ def validate_cone(domain: SwissCheeseDomain, cone: ConeSpec) -> None:
         )
     if abs(w) > R or far >= R:
         raise GeometryError(f"cone does not lie inside the open outer disk {domain.outer}")
-    for h in domain.holes:
+    for _, _, _, _, h in domain._holes_meeting(0.0, cone.length):
         if _sector_distance(cone, h.center) <= h.radius:
             raise GeometryError(f"cone meets hole {h}")
 
@@ -244,14 +263,14 @@ def check_ray(domain: SwissCheeseDomain, ray: Ray) -> None:
     """Raise GeometryError unless the ray starts at the base point and its
     whole segment misses every closed hole.
 
-    The hole test is exact, segment against disk; sampling alone can slip
-    between dyadic points even when the ray crosses a hole.  Whether the
-    samples a caller takes lie in U is `ray_samples`' check.
+    The hole test is exact, segment against disk, on the holes meeting the
+    window [0, length]; sampling alone can slip between dyadic points even when
+    the ray crosses a hole.  Whether the samples lie in U is `ray_samples`' check.
     """
     if ray.origin != domain.base_point:
         raise GeometryError("ray must start at the domain base point")
     u = cmath.exp(1j * ray.direction)
-    for h in domain.holes:
+    for _, _, _, _, h in domain._holes_meeting(0.0, ray.length):
         w = h.center - ray.origin
         t = min(max((w / u).real, 0.0), ray.length)
         if abs(ray.origin + t * u - h.center) <= h.radius:
@@ -399,25 +418,11 @@ def _point_set_diameter(pts: np.ndarray) -> float:
 def annulus_complement(domain: SwissCheeseDomain, n: int) -> list[ClippedPiece]:
     """Pieces hole ∩ A_n for each hole meeting the dyadic annulus A_n."""
     ri, ro = annulus_radii(n)
-    x0 = domain.base_point
-    pieces = []
-    for h in domain.holes:
-        d = abs(h.center - x0)
-        lo, hi = d - h.radius, d + h.radius
-        if hi < ri or lo > ro:
-            continue
-        whole = lo >= ri and hi <= ro
-        pieces.append(
-            ClippedPiece(
-                hole=h,
-                annulus_center=x0,
-                n=n,
-                r_inner=ri,
-                r_outer=ro,
-                is_whole=whole,
-            )
-        )
-    return pieces
+    return [
+        ClippedPiece(h, domain.base_point, n, ri, ro, is_whole=lo >= ri and hi <= ro)
+        for _, _, lo, hi, h in domain._holes_meeting(ri, ro)
+        if not (hi < ri or lo > ro)
+    ]
 
 
 # ---------------------------------------------------------------------------

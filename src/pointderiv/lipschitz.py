@@ -116,14 +116,13 @@ class GalleryFunction:
     def validate_for_domain(self, domain: SwissCheeseDomain) -> None:
         """Check poles and ct disks sit inside holes, so f is analytic on U."""
         for p, _ in self.rational_terms:
-            if not any(abs(p - h.center) < h.radius for h in domain.holes):
+            rho = abs(p - domain.base_point)
+            if not any(abs(p - h.center) < h.radius for _, _, _, _, h in domain._holes_meeting(rho, rho)):
                 raise GalleryError(f"pole {p} is not strictly inside any hole")
         for d, _ in self.ct_terms:
-            ok = any(
-                abs(d.center - h.center) + d.radius <= h.radius + 1e-12
-                for h in domain.holes
-            )
-            if not ok:
+            rho, r = abs(d.center - domain.base_point), d.radius + 1e-12  # the test's slack
+            near = domain._holes_meeting(rho - r, rho + r)
+            if not any(abs(d.center - h.center) + d.radius <= h.radius + 1e-12 for _, _, _, _, h in near):
                 raise GalleryError(f"ct disk {d} is not contained in any hole")
 
 

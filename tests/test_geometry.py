@@ -1,8 +1,11 @@
+import ast
+import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pointderiv import (
@@ -10,6 +13,8 @@ from pointderiv import (
     ConeSpec,
     Disk,
     DiskRegion,
+    GalleryError,
+    GalleryFunction,
     GeometryError,
     Ray,
     SwissCheeseDomain,
@@ -19,9 +24,11 @@ from pointderiv import (
 )
 from pointderiv.geometry import (
     _point_set_diameter,
+    _sector_distance,
     _unit_circle,
     annulus_minus_cone_region,
     annulus_radii,
+    check_ray,
 )
 
 
@@ -403,3 +410,203 @@ def test_disk_contains_many_equals_contains():
 def test_ray_point():
     ray = Ray(0j, math.pi, 0.25)
     assert ray.point(0.1) == pytest.approx(-0.1)
+
+
+# The per-hole loops that `SwissCheeseDomain._holes_meeting` replaced, kept as
+# the reference: each scans every hole.
+
+
+def _scan_contains(domain, z):
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return False
+    if abs(z - domain.outer.center) >= domain.outer.radius:
+        return False
+    if domain.base_is_boundary and z == domain.base_point:
+        return False
+    for h in domain.holes:
+        if abs(z - h.center) <= h.radius:
+            return False
+    return True
+
+
+def _scan_boundary_distance(domain, z):
+    d = domain.outer.radius - abs(z - domain.outer.center)
+    for h in domain.holes:
+        d = min(d, abs(z - h.center) - h.radius)
+    if domain.base_is_boundary:
+        d = min(d, abs(z - domain.base_point))
+    return d
+
+
+def _scan_annulus_complement(domain, n):
+    ri, ro = annulus_radii(n)
+    x0 = domain.base_point
+    pieces = []
+    for h in domain.holes:
+        d = abs(h.center - x0)
+        lo, hi = d - h.radius, d + h.radius
+        if hi < ri or lo > ro:
+            continue
+        pieces.append(ClippedPiece(h, x0, n, ri, ro, is_whole=lo >= ri and hi <= ro))
+    return pieces
+
+
+def _scan_validate_for_domain(f, domain):
+    for p, _ in f.rational_terms:
+        if not any(abs(p - h.center) < h.radius for h in domain.holes):
+            raise GalleryError(f"pole {p} is not strictly inside any hole")
+    for d, _ in f.ct_terms:
+        if not any(abs(d.center - h.center) + d.radius <= h.radius + 1e-12 for h in domain.holes):
+            raise GalleryError(f"ct disk {d} is not contained in any hole")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (GeometryError, GalleryError) as e:
+        return str(e)
+    return None
+
+
+def _scan_check_ray(domain, ray):
+    u = cmath.exp(1j * ray.direction)
+    for h in domain.holes:
+        w = h.center - ray.origin
+        t = min(max((w / u).real, 0.0), ray.length)
+        if abs(ray.origin + t * u - h.center) <= h.radius:
+            raise GeometryError(f"ray passes through hole {h}")
+
+
+def _scan_validate_cone(domain, cone):
+    # the outer-disk part, on the same domain without holes
+    bare = SwissCheeseDomain(outer=domain.outer, base_point=domain.base_point, base_point_kind="none")
+    validate_cone(bare, cone)
+    for h in domain.holes:
+        if _sector_distance(cone, h.center) <= h.radius:
+            raise GeometryError(f"cone meets hole {h}")
+
+
+def _ulp_neighbours(z):
+    return [
+        z,
+        complex(math.nextafter(z.real, math.inf), z.imag),
+        complex(math.nextafter(z.real, -math.inf), z.imag),
+        complex(z.real, math.nextafter(z.imag, math.inf)),
+        complex(z.real, math.nextafter(z.imag, -math.inf)),
+    ]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    base=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.5)),
+    specs=st.lists(
+        st.tuples(
+            st.floats(0.0, 12.0),
+            st.floats(0.0, 2.0 * math.pi),
+            st.one_of(st.floats(0.05, 0.95), st.none()),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    phis=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=3),
+    lengths=st.lists(st.floats(1e-4, 1.5), min_size=1, max_size=3),
+)
+def test_hole_query_answers_equal_the_scan(base, specs, phis, lengths):
+    # holes at distances 0.9 * 2^-k from the base point, kept when they fit:
+    # most pile up near it, as in a roadrunner domain.  A hole without a
+    # radius fraction spans the dyadic annulus [2^-(j+1), 2^-j] along an axis,
+    # so its extent ends on annulus circles.
+    holes = []
+    for k, th, frac in specs:
+        if frac is None:
+            j = math.floor(k)
+            c = base + 3.0 * 2.0 ** -(j + 2) * (1, 1j, -1, -1j)[int(th) % 4]
+            h = Disk(c, 2.0 ** -(j + 2))
+        else:
+            dist = 0.9 * 2.0**-k
+            c = base + dist * complex(math.cos(th), math.sin(th))
+            h = Disk(c, frac * dist)
+        if abs(c) + h.radius >= 1.0 or any(
+            abs(c - g.center) <= h.radius + g.radius for g in holes
+        ):
+            continue
+        holes.append(h)
+    holes = holes[:40]
+    assume(holes)
+    domain = SwissCheeseDomain(holes=tuple(holes), base_point=base)
+    x0 = domain.base_point
+    points = [x0 + 2.0**-j * complex(math.cos(phi), math.sin(phi)) for j in range(0, 40, 3) for phi in phis]
+    for h in holes:
+        # the hole's nearest and farthest points from x0, then points at phis
+        w = (h.center - x0) / abs(h.center - x0)
+        for u in [-w, w, *(complex(math.cos(phi), math.sin(phi)) for phi in phis)]:
+            points += _ulp_neighbours(h.center + h.radius * u)
+    for z in points:
+        inside = domain.contains(z)
+        assert inside == _scan_contains(domain, z)
+        if inside:
+            assert domain.boundary_distance(z) == _scan_boundary_distance(domain, z)
+    for n in range(1, 16):
+        assert annulus_complement(domain, n) == _scan_annulus_complement(domain, n)
+    # poles just inside and outside each hole's edge, and ct disks that pass
+    # or fail the disk test's 1e-12 slack
+    for h in holes:
+        w = (h.center - x0) / abs(h.center - x0)
+        for u in (w, -w, 1j * w):
+            for t in (1.0 - 1e-15, 1.0, 1.0 + 1e-15):
+                f = GalleryFunction(rational_terms=((h.center + t * h.radius * u, 1.0),), base_point=x0)
+                assert _outcome(f.validate_for_domain, domain) == _outcome(
+                    _scan_validate_for_domain, f, domain
+                )
+            for grow in (0.5e-12, 2e-12):
+                for d in (Disk(h.center + grow * u, h.radius), Disk(h.center + (h.radius + grow) * u, 1e-14)):
+                    f = GalleryFunction(ct_terms=((d, 1.0),), base_point=x0)
+                    assert _outcome(f.validate_for_domain, domain) == _outcome(
+                        _scan_validate_for_domain, f, domain
+                    )
+    # rays and cones aimed at each hole, or turned by phis[0], ending on its near
+    # edge, at its centre or at a drawn length
+    for h in holes:
+        w = h.center - x0
+        direction = math.atan2(w.imag, w.real)
+        for length in [abs(w) - h.radius, abs(w), *lengths]:
+            if length <= 0.0:
+                continue
+            for a in (direction, direction + phis[0]):
+                ray = Ray(x0, a, length)
+                assert _outcome(check_ray, domain, ray) == _outcome(_scan_check_ray, domain, ray)
+                cone = ConeSpec(x0, a, 0.05, length, 0.04)
+                assert _outcome(validate_cone, domain, cone) == _outcome(
+                    _scan_validate_cone, domain, cone
+                )
+
+
+def test_only_domain_construction_and_the_gallery_read_holes():
+    # every "which holes matter here" question goes through
+    # `SwissCheeseDomain._holes_meeting`; a new scan of `.holes` would need its
+    # own branch for a domain whose holes cannot be listed
+    allowed = {
+        ("geometry", ("SwissCheeseDomain", "__post_init__")),
+        ("lipschitz", ("build_test_gallery",)),
+    }
+    readers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "holes":
+                # a nested function counts as the function it is defined in
+                readers.add(next(
+                    (a for a in allowed if a[0] == module and scope[: len(a[1])] == a[1]),
+                    (module, scope),
+                ))
+            visit(child, module, scope)
+
+    src = Path(__file__).resolve().parent.parent / "src" / "pointderiv"
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    assert readers - allowed == set()
+    assert readers == allowed  # the walk still finds the readers it allows
