@@ -88,28 +88,14 @@ Primitive = Arc | Segment
 _JOIN_TOL = 1e-12
 
 
-def _polylines_cross(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if the sampled polylines have a transversal segment intersection."""
-    a0, a1 = a[:-1], a[1:]
-    b0, b1 = b[:-1], b[1:]
-
-    def cross(o, p, q):
-        u = p - o
-        v = q - o
-        return (u.real * v.imag - u.imag * v.real).real
-
-    d1 = cross(a0[:, None], a1[:, None], b0[None, :])
-    d2 = cross(a0[:, None], a1[:, None], b1[None, :])
-    d3 = cross(b0[None, :], b1[None, :], a0[:, None])
-    d4 = cross(b0[None, :], b1[None, :], a1[:, None])
-    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
-
-
 @dataclass(frozen=True)
 class ContourPath:
+    """Primitives joined end to end, checked to join within 1e-12 of their
+    scale.  Simplicity is not checked: the builders below and `reversed`, the
+    only makers of paths in the package, keep paths simple by construction."""
+
     segments: tuple[Primitive, ...]
     closed: bool = True
-    check_simple: bool = True
 
     def __post_init__(self):
         prims = tuple(self.segments)
@@ -126,26 +112,6 @@ class ContourPath:
             gap = abs(prims[-1].point(1.0) - prims[0].point(0.0))
             if gap > _JOIN_TOL * max(scale, 1.0):
                 raise ContourError(f"closed path does not return to start (gap {gap})")
-        if self.check_simple:
-            self._check_simple()
-
-    def _check_simple(self):
-        ts = np.linspace(0.0, 1.0, 48)
-        pts = [p.point(ts) for p in self.segments]
-        n = len(pts)
-        scale = max(float(np.abs(q).max()) for q in pts) or 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                adjacent = j == i + 1 or (self.closed and i == 0 and j == n - 1)
-                a, b = pts[i], pts[j]
-                d = np.abs(a[:, None] - b[None, :])
-                if adjacent:
-                    # allow contact only at the shared endpoint
-                    d = d[1:-1, 1:-1]
-                if d.size and d.min() < 1e-9 * scale:
-                    raise ContourError("path is not simple (primitives intersect)")
-                if not adjacent and _polylines_cross(a, b):
-                    raise ContourError("path is not simple (primitives cross)")
 
     @property
     def total_length(self) -> float:
@@ -172,7 +138,6 @@ class ContourPath:
         return ContourPath(
             tuple(p.reversed() for p in reversed(self.segments)),
             closed=self.closed,
-            check_simple=False,
         )
 
 
@@ -511,8 +476,8 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
 # Contour builders
 #
 # A builder's path depends only on its hashable, frozen arguments, so each
-# distinct path is built, and checked for simplicity, once; every caller then
-# shares the same immutable `ContourPath`.
+# distinct path is built once; every caller then shares the same immutable
+# `ContourPath`.
 
 
 @functools.lru_cache(maxsize=256)
@@ -520,7 +485,10 @@ def build_keyhole(cone: ConeSpec, N: int, M: int) -> ContourPath:
     """Positively oriented boundary of (sector of radius 2^-M) union B_N.
 
     The big arc spans the cone opening, the small circle's major arc closes
-    it outside the cone; two radial segments run along the cone edges.
+    it outside the cone; two radial segments run along the cone edges.  The
+    path is simple exactly when 0 < 2^-N < 2^-M and 0 < half_angle < pi/2:
+    the arcs lie on distinct circles and the segments on distinct rays from
+    the vertex.  This builder checks the radii and `ConeSpec` the angle.
     """
     r_big = 2.0**-M
     r_small = 2.0**-N
@@ -544,7 +512,11 @@ def build_keyhole(cone: ConeSpec, N: int, M: int) -> ContourPath:
 
 @functools.lru_cache(maxsize=256)
 def build_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
-    """Positively oriented boundary of D_n = (dyadic annulus n) minus the cone."""
+    """Positively oriented boundary of D_n = (dyadic annulus n) minus the cone.
+
+    Simple exactly when r_inner < r_outer and 0 < half_angle < pi/2, as for
+    `build_keyhole`; here r_inner = r_outer / 2 (`annulus_radii`).
+    """
     ri, ro = annulus_radii(n)
     if ro > cone.length + 1e-15:
         raise ContourError(f"annulus {n} lies outside the cone truncation radius")
@@ -564,7 +536,7 @@ def build_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
 def full_circle(center: complex, radius: float) -> ContourPath:
     half1 = Arc(center, radius, 0.0, math.pi)
     half2 = Arc(center, radius, math.pi, 2.0 * math.pi)
-    return ContourPath((half1, half2), closed=True, check_simple=False)
+    return ContourPath((half1, half2), closed=True)
 
 
 @functools.lru_cache(maxsize=64)
@@ -668,17 +640,24 @@ def _inner_index(f: GalleryFunction, x: complex, cone: ConeSpec) -> int:
 # The deepest inner index N: on the circle 2^-N about x0 = 0 the kernel's
 # (z - x0)(z - x) underflows past it.  The criterion's `n_max` has the same cap.
 _N_MAX = 510
+# Off the origin, 2^-N >= 2^-25 |x0| keeps about 27 of float64's 53 bits of z - x0.
+_OFF_ORIGIN_DEPTH = 25
 
 
 def _contour_depth(f: GalleryFunction, x: complex, cone: ConeSpec, N: int | None) -> int:
     """N, or `_inner_index` of f at x if N is None, checked before any
-    integral: x is not the vertex and N is at most `_N_MAX`."""
+    integral: x is not the vertex, N is at most `_N_MAX`, and for a vertex
+    x0 != 0, 2^-N >= 2^-25 |x0|."""
     if x == cone.vertex:
         raise ContourError(f"x = {x} is the cone vertex, inside every circle 2^-N")
     if N is None:
         N = _inner_index(f, x, cone)
     if N > _N_MAX:
         raise ContourError(f"contour depth N = {N} exceeds {_N_MAX}, past what float64 resolves")
+    r0 = abs(cone.vertex)
+    if 2.0**-N < 2.0**-_OFF_ORIGIN_DEPTH * r0:
+        limit = f"{_OFF_ORIGIN_DEPTH} - log2 |x0| = {_OFF_ORIGIN_DEPTH - math.log2(r0):.4g} at |x0| = {r0}"
+        raise ContourError(f"contour depth N = {N} exceeds {limit}, past what float64 resolves")
     return N
 
 
@@ -692,8 +671,7 @@ def quotient_via_cauchy(
 ) -> complex:
     """(f(x) - f(x0)) / (x - x0) computed via the keyhole Cauchy integral."""
     v = cone.vertex
-    if complex(f.base_point) != complex(v):
-        raise ContourError("gallery base point must equal the cone vertex")
+    f.require_base_point(v)
     N = _contour_depth(f, x, cone, N)
     _check_x_admissible(x, cone, N, M)
     path = build_keyhole(cone, N, M)
@@ -732,8 +710,7 @@ def annular_decomposition(
     adaptive loop.
     """
     v = cone.vertex
-    if complex(f.base_point) != complex(v):
-        raise ContourError("gallery base point must equal the cone vertex")
+    f.require_base_point(v)
     N = _contour_depth(f, x, cone, N)
     if N == M:
         # degenerate split: no annular pieces, plain circle Cauchy formula

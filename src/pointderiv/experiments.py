@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiskRegion, GeometryError, Ray, SwissCheeseDomain, ray_samples
+from .geometry import DiskRegion, Ray, SwissCheeseDomain, ray_samples
 from .lipschitz import GalleryFunction, _max_ratio, _seminorm_pairs
 
 CONVERGED = "CONVERGED"
@@ -78,13 +78,6 @@ def _limit_report(
     )
 
 
-def _vanishes_at(f: GalleryFunction, x0: complex) -> bool:
-    """Whether f(x0) is exactly 0j without evaluating it: f is normalized at
-    its base point, and when that is the object x0 (as for every gallery a
-    config builds) f(x0) subtracts a value from itself."""
-    return f.base_point is x0
-
-
 def _nontangential_limits(
     gallery: list[GalleryFunction],
     domain: SwissCheeseDomain,
@@ -94,15 +87,14 @@ def _nontangential_limits(
 ) -> list[LimitExperimentReport]:
     """`nontangential_limit` of each gallery function; the ray is checked
     and sampled once, and each f is evaluated on all samples in one call.
-    f(x0) is evaluated only for an f not known to vanish there; v - 0j is
-    v bit for bit, and so is x - 0j in the order fit."""
+    Each f must be normalized at x0, so f(x0) = 0 is not evaluated."""
     x0 = domain.base_point
     xs = ray_samples(domain, ray, scales + 1)
     reports = []
     for f in gallery:
+        f.require_base_point(x0)
         df = f.derivative(x0)
-        fx0 = 0j if _vanishes_at(f, x0) else f(x0)
-        samples = [(x, (v - fx0) / (x - x0)) for x, v in zip(xs, f(np.array(xs)).tolist())]
+        samples = [(x, v / (x - x0)) for x, v in zip(xs, f(np.array(xs)).tolist())]
         reports.append(_limit_report(samples, df, limit_tol, x0))
     return reports
 
@@ -144,8 +136,7 @@ def functional_sweep(
     functionals; it should stay stable as the sweep deepens on a domain whose
     series criterion holds.  Every function is measured on the same seminorm
     sample pairs, drawn once per process (`_seminorm_pairs` is memoised).
-    The normalization check f(x0) = 0 is made for an f not known to vanish
-    at x0.
+    Each f must be normalized at x0.
     """
     x0 = domain.base_point
     region = DiskRegion(domain.outer.center, domain.outer.radius)
@@ -156,8 +147,7 @@ def functional_sweep(
     rows = []
     skipped = []
     for i, f in enumerate(gallery):
-        if not _vanishes_at(f, x0) and abs(f(x0)) > 1e-12:
-            raise GeometryError(f"gallery function {i} is not normalized at x0")
+        f.require_base_point(x0)
         values = f(points)
         sem = _max_ratio(values, d_alpha)
         if sem == 0.0:

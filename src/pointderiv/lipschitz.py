@@ -113,6 +113,12 @@ class GalleryFunction:
             val = val + w * math.pi * disk.radius**2 / (disk.center - z) ** 2
         return complex(val) if scalar else val
 
+    def require_base_point(self, x0: complex) -> None:
+        """Raise GalleryError unless f is normalized at x0, so that f(x0) = 0
+        and the quotient (f(x) - f(x0)) / (x - x0) is f(x) / (x - x0)."""
+        if self.base_point != x0:
+            raise GalleryError(f"gallery base point {self.base_point} is not x0 = {x0}")
+
     def validate_for_domain(self, domain: SwissCheeseDomain) -> None:
         """Check poles and ct disks sit inside holes, so f is analytic on U."""
         for p, _ in self.rational_terms:
@@ -120,9 +126,9 @@ class GalleryFunction:
             if not any(abs(p - h.center) < h.radius for _, _, _, _, h in domain._holes_meeting(rho, rho)):
                 raise GalleryError(f"pole {p} is not strictly inside any hole")
         for d, _ in self.ct_terms:
-            rho, r = abs(d.center - domain.base_point), d.radius + 1e-12  # the test's slack
-            near = domain._holes_meeting(rho - r, rho + r)
-            if not any(abs(d.center - h.center) + d.radius <= h.radius + 1e-12 for _, _, _, _, h in near):
+            rho = abs(d.center - domain.base_point)
+            near = domain._holes_meeting(rho - d.radius, rho + d.radius)
+            if not any(abs(d.center - h.center) + d.radius <= h.radius for _, _, _, _, h in near):
                 raise GalleryError(f"ct disk {d} is not contained in any hole")
 
 

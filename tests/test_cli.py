@@ -696,6 +696,27 @@ def test_decompose_past_float64_depth_exit_2(tmp_path, capsys, monkeypatch, sect
     assert not (tmp_path / "o").exists()
 
 
+OFF_ORIGIN_DECOMPOSE = dict(
+    README_CONFIG,
+    domain={"holes": [{"center": 0.75, "radius": 0.05}], "base_point": 0.5},
+    gallery={"preset": "auto", "count": 3},
+)
+
+
+@pytest.mark.parametrize("N", [26, 27, 30])
+def test_decompose_off_origin_depth(tmp_path, capsys, N):
+    # at |x0| = 0.5 the circles keep 27 bits of z - x0 down to N = 26; deeper
+    # depths exit 2 before any integral
+    raw = dict(OFF_ORIGIN_DECOMPOSE, contour={"M": 2, "N": N, "x_scale_index": 3})
+    rc = run("decompose", readme_config(tmp_path, raw), tmp_path / "o")
+    if N == 26:
+        assert rc == 0 and float(capsys.readouterr().out.split("residual ")[1]) < 1e-15
+    else:
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: contour depth N = {N} exceeds 25 - log2 |x0| = 26 at |x0| = 0.5")
+
+
 def test_limit_checks_the_ray_once(tmp_path, monkeypatch):
     # the exact hole test once, and none of the 24 boundary distances that
     # `cone` tabulates

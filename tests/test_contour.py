@@ -1,6 +1,8 @@
+import ast
 import cmath
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from pointderiv import (
     ContourError,
     Disk,
     DiskRegion,
+    GalleryError,
     GalleryFunction,
     annular_decomposition,
     build_annular_piece,
@@ -131,12 +134,79 @@ def test_path_join_validation():
         ContourPath((Segment(0, 1), Segment(2, 3)))
 
 
+# A sampled simplicity check on 48 points per primitive, scaled to the path's
+# own smallest radius: the reference of the builder property test below.
+
+
+def _polylines_cross(a: np.ndarray, b: np.ndarray) -> bool:
+    """True if the sampled polylines have a transversal segment intersection."""
+    a0, a1 = a[:-1], a[1:]
+    b0, b1 = b[:-1], b[1:]
+
+    def cross(o, p, q):
+        u = p - o
+        v = q - o
+        return (u.real * v.imag - u.imag * v.real).real
+
+    d1 = cross(a0[:, None], a1[:, None], b0[None, :])
+    d2 = cross(a0[:, None], a1[:, None], b1[None, :])
+    d3 = cross(b0[None, :], b1[None, :], a0[:, None])
+    d4 = cross(b0[None, :], b1[None, :], a1[:, None])
+    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
+
+
+def _simplicity_margin(path: ContourPath, samples: int = 48) -> float:
+    """The least distance between the samples of two primitives of the path,
+    over its smallest radius (least arc radius or segment length), or 0 if
+    two non-adjacent primitives cross.  Primitives that share an end compare
+    only their interior samples."""
+    ts = np.linspace(0.0, 1.0, samples)
+    pts = [p.point(ts) for p in path.segments]
+    scale = min(p.radius if isinstance(p, Arc) else p.length for p in path.segments)
+    n = len(pts)
+    margin = math.inf
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = j == i + 1 or (path.closed and i == 0 and j == n - 1)
+            d = np.abs(pts[i][:, None] - pts[j][None, :])
+            if adjacent:
+                d = d[1:-1, 1:-1]
+            elif _polylines_cross(pts[i], pts[j]):
+                return 0.0
+            margin = min(margin, float(d.min()) / scale)
+    return margin
+
+
 def test_path_simplicity_check():
-    with pytest.raises(ContourError):
-        ContourPath(
-            (Segment(0, 1 + 1j), Segment(1 + 1j, 1), Segment(1, 1j), Segment(1j, 0)),
-            closed=True,
-        )
+    # paths are not checked for simplicity when built; the reference flags a
+    # crossing path and passes a keyhole
+    bowtie = ContourPath(
+        (Segment(0, 1 + 1j), Segment(1 + 1j, 1), Segment(1, 1j), Segment(1j, 0)),
+        closed=True,
+    )
+    assert _simplicity_margin(bowtie) == 0.0
+    assert _simplicity_margin(build_keyhole(CONE, N=5, M=2)) > 0.01
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    vertex=st.one_of(st.just(0j), st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0)),
+    direction=st.floats(-math.pi, math.pi),
+    half_angle=st.floats(0.01, math.pi / 2, exclude_max=True),
+    stretch=st.floats(1.0, 4.0),
+    data=st.data(),
+)
+def test_builders_make_simple_paths(vertex, direction, half_angle, stretch, data):
+    # every depth `_contour_depth` allows: N <= 510 at x0 = 0, and
+    # 2^-N >= 2^-25 |x0| off it
+    n_max = next(N for N in range(510, 1, -1) if 2.0**-N >= 2.0**-25 * abs(vertex))
+    M = data.draw(st.integers(1, n_max - 1))
+    N = data.draw(st.integers(M + 1, n_max))
+    cone = ConeSpec(vertex, direction, half_angle, stretch * 2.0**-M, 0.5 * math.sin(half_angle))
+    paths = [contour.build_keyhole.__wrapped__(cone, N, M)]
+    paths += [contour.build_annular_piece.__wrapped__(n, cone) for n in (M, N)]
+    for path in paths:
+        assert _simplicity_margin(path) >= 0.01
 
 
 def test_keyhole_structure():
@@ -218,12 +288,8 @@ def test_integrate_tolerance_finite(tol):
 def test_quadrature_primitive_order_independent():
     a1 = Arc(0j, 1.0, 0.0, math.pi)
     a2 = Arc(0j, 1.0, math.pi, 2 * math.pi)
-    v1 = integrate_contour(
-        ContourPath((a1, a2), check_simple=False), lambda z: 1.0 / z
-    ).value
-    v2 = integrate_contour(
-        ContourPath((a2, a1), check_simple=False), lambda z: 1.0 / z
-    ).value
+    v1 = integrate_contour(ContourPath((a1, a2)), lambda z: 1.0 / z).value
+    v2 = integrate_contour(ContourPath((a2, a1)), lambda z: 1.0 / z).value
     assert abs(v1 - v2) <= 1e-12
 
 
@@ -984,7 +1050,6 @@ def test_full_circle_memoised_and_equal_paths_share_results():
     fresh = ContourPath(
         (Arc(0j, 0.5, 0.0, math.pi), Arc(0j, 0.5, math.pi, 2.0 * math.pi)),
         closed=True,
-        check_simple=False,
     )
     assert fresh == full_circle(0j, 0.5) and fresh is not full_circle(0j, 0.5)
 
@@ -998,19 +1063,20 @@ def test_full_circle_memoised_and_equal_paths_share_results():
 
 
 def test_builders_memoised_and_checked_once(monkeypatch):
-    checks = []
-    check = ContourPath._check_simple
+    # each distinct path is constructed, and its joins checked, once
+    built = []
+    post_init = ContourPath.__post_init__
 
-    def counted(self, *args):
-        checks.append(self)
-        return check(self, *args)
+    def counted(self):
+        built.append(self)
+        return post_init(self)
 
-    monkeypatch.setattr(ContourPath, "_check_simple", counted)
+    monkeypatch.setattr(ContourPath, "__post_init__", counted)
     cone = ConeSpec(0j, math.pi, math.pi / 6, 0.4999, 0.45)  # used by no other test
     first = build_annular_piece(4, cone)
     assert build_annular_piece(4, ConeSpec(0j, math.pi, math.pi / 6, 0.4999, 0.45)) is first
     assert build_keyhole(cone, 6, 2) is build_keyhole(cone, 6, 2)
-    assert len(checks) == 2
+    assert len(built) == 2
     short = ConeSpec(0j, math.pi, math.pi / 6, 0.1, 0.45)
     for _ in range(2):
         with pytest.raises(ContourError):
@@ -1076,6 +1142,60 @@ def test_contour_depth_past_float64_rejected(monkeypatch):
             run(f, -0.1, CONE, N=511)
         with pytest.raises(ContourError, match="N = 1005 exceeds 510"):
             run(f, complex(-0.75 * 0.25 * 2.0**-1000), CONE)
+
+
+def test_off_origin_contour_depth_rejected(monkeypatch):
+    # at |x0| = 0.5 the circle 2^-N keeps 27 bits of z - x0 down to N = 26;
+    # deeper, each run fails before any integral
+    cone = ConeSpec(0.5 + 0j, math.pi, math.pi / 6, 0.5, 0.45)
+    f = GalleryFunction(poly_coeffs=(0, 0, 1), base_point=0.5)
+    assert contour._contour_depth(f, 0.25, cone, 26) == 26
+    assert contour._contour_depth(f, -0.1, CONE, 510) == 510
+    monkeypatch.setattr(contour, "_integrate_many", lambda *a: pytest.fail("integrated"))
+    for run in (quotient_via_cauchy, annular_decomposition):
+        for N in (27, 30):
+            with pytest.raises(ContourError, match=rf"N = {N} exceeds 25 - log2 \|x0\| = 26 at \|x0\| = 0.5"):
+                run(f, 0.25, cone, N=N, M=2)
+
+
+def test_keyholes_at_every_depth_from_M_1():
+    # at x0 = 0 every depth up to the cap builds, with the circle 2^-N intact
+    for N in range(2, 511):
+        path = contour.build_keyhole.__wrapped__(CONE, N, 1)
+        assert path.segments[2].radius == 2.0**-N
+    f = GalleryFunction(poly_coeffs=(0, 0, 1))
+    for x in (-0.75 * 2.0**-28, -0.75 * 2.0**-29):
+        assert abs(quotient_via_cauchy(f, x, CONE) - f(x) / x) <= 2e-10
+
+
+def test_cauchy_quotients_require_the_base_point():
+    f = GalleryFunction(poly_coeffs=(0, 1), base_point=0.1j)
+    for run in (quotient_via_cauchy, annular_decomposition):
+        with pytest.raises(GalleryError, match="base point 0.1j is not x0 = 0j"):
+            run(f, -0.1, CONE, N=8)
+
+
+def test_only_the_builders_construct_paths():
+    # a path is simple because only these make one; a new `ContourPath(` call
+    # would need its own argument why its path is simple
+    allowed = {("build_keyhole",), ("build_annular_piece",), ("full_circle",), ("ContourPath", "reversed")}
+    makers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name == "ContourPath":
+                    makers.add((module, *scope))
+            visit(child, module, scope)
+
+    src = Path(__file__).resolve().parent.parent / "src" / "pointderiv"
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    assert makers == {("contour", *a) for a in allowed}
 
 
 def test_quotient_rejects_x_outside_cone():

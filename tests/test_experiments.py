@@ -25,6 +25,7 @@ from pointderiv.experiments import (
     _nontangential_limits,
 )
 from pointderiv.geometry import GeometryError
+from pointderiv.lipschitz import GalleryError
 
 
 def test_limit_poly_square(domain, ray):
@@ -231,11 +232,11 @@ def test_fit_order_of_exactly_two_points():
     assert math.isnan(_fit_order([0.5, 0.5], [1e-3, 1e-4]))
 
 
-def test_f_at_x0_is_used_unless_f_is_normalized_there(domain, ray):
-    # the identity normalized at 0.1j: f(x0) = -0.1j, which sweep refuses and
-    # the limit quotient (f(x) - f(x0)) / (x - x0) = 1 subtracts
+def test_f_normalized_elsewhere_is_refused(domain, ray):
+    # the identity normalized at 0.1j has f(x0) = -0.1j; both experiments
+    # take f(x0) = 0 and so refuse it
     f = GalleryFunction(poly_coeffs=(0, 1), base_point=0.1j)
-    with pytest.raises(GeometryError, match="function 0 is not normalized at x0"):
+    with pytest.raises(GalleryError, match="base point 0.1j is not x0 = 0j"):
         functional_sweep([f], domain, ray, scales=5)
-    rep = nontangential_limit(f, domain, ray, scales=5)
-    assert all(abs(q - 1) < 1e-12 for _, q, _ in rep.samples)
+    with pytest.raises(GalleryError, match="base point 0.1j is not x0 = 0j"):
+        nontangential_limit(f, domain, ray, scales=5)

@@ -9,6 +9,7 @@ from pointderiv import (
     DiskRegion,
     GalleryFunction,
     Ray,
+    SwissCheeseDomain,
     build_test_gallery,
     conjugate_function,
     functional_sweep,
@@ -179,6 +180,17 @@ def test_validate_for_domain_rejects_outside_pole(domain):
     f = GalleryFunction(rational_terms=((0.5j, 1.0),))
     with pytest.raises(GalleryError):
         f.validate_for_domain(domain)
+
+
+def test_validate_for_domain_rejects_ct_disk_just_outside_small_hole():
+    # 0.5e-12 past the edge of a hole of radius 1e-6: the disk's centre lies in
+    # U, so f is not analytic there
+    domain = SwissCheeseDomain(holes=(Disk(0.5, 1e-6),))
+    d = Disk(0.5 + 1e-6 + 0.5e-12, 1e-14)
+    assert domain.contains(d.center)
+    with pytest.raises(GalleryError, match="is not contained in any hole"):
+        GalleryFunction(ct_terms=((d, 1.0),)).validate_for_domain(domain)
+    GalleryFunction(ct_terms=((Disk(0.5, 1e-6), 1.0),)).validate_for_domain(domain)
 
 
 def test_gallery_offset_is_computed_on_first_use(domain, monkeypatch):
