@@ -91,8 +91,9 @@ _JOIN_TOL = 1e-12
 @dataclass(frozen=True)
 class ContourPath:
     """Primitives joined end to end, checked to join within 1e-12 of their
-    scale.  Simplicity is not checked: the builders below and `reversed`, the
-    only makers of paths in the package, keep paths simple by construction."""
+    scale, the largest modulus of an end point.  Simplicity is not checked:
+    the builders below and `reversed`, the only makers of paths in the
+    package, keep paths simple by construction."""
 
     segments: tuple[Primitive, ...]
     closed: bool = True
@@ -104,13 +105,13 @@ class ContourPath:
         object.__setattr__(self, "segments", prims)
         scale = max(max(abs(p.point(0.0)), abs(p.point(1.0))) for p in prims) or 1.0
         for a, b in zip(prims, prims[1:]):
-            if abs(a.point(1.0) - b.point(0.0)) > _JOIN_TOL * max(scale, 1.0):
+            if abs(a.point(1.0) - b.point(0.0)) > _JOIN_TOL * scale:
                 raise ContourError(
                     f"consecutive primitives do not join: {a.point(1.0)} vs {b.point(0.0)}"
                 )
         if self.closed:
             gap = abs(prims[-1].point(1.0) - prims[0].point(0.0))
-            if gap > _JOIN_TOL * max(scale, 1.0):
+            if gap > _JOIN_TOL * scale:
                 raise ContourError(f"closed path does not return to start (gap {gap})")
 
     @property
@@ -288,9 +289,9 @@ def _plan(paths: tuple[ContourPath, ...]) -> _Plan:
     """The plan of a path set, built once per distinct tuple of paths.
 
     Paths are frozen and compared by value, so equal path sets share one
-    plan; as for the memoised builders, `lru_cache` takes 0.0 and -0.0 for
-    the same key.  Every array is read-only, because every later call with
-    these paths reads it.
+    plan, however often their paths are rebuilt; `lru_cache` takes 0.0 and
+    -0.0 for the same key.  Every array is read-only, because every later
+    call with these paths reads it.
     """
     prims, path_of, shares = [], [], []
     for k, path in enumerate(paths):
@@ -319,10 +320,32 @@ def _banked_nodes(plan: _Plan, row: np.ndarray, idx: np.ndarray, k: np.ndarray, 
     return z, vel, 2.0 ** -(level + 2)
 
 
+class _FBank:
+    """An elementwise f at the nodes of a plan that every integral of f over
+    it shares, whatever its kernel: the flattened level-0 nodes, read-only
+    in `level0`, and in `rows` the bank rows (levels 1 to `_BANK_DEPTH` - 1)
+    that some integral has visited.
+
+    `rows` keeps a slot map of its own, because an f visits only some of
+    its plan's rows.  On the benchmark's grid (M = 1, N = 10, 27 functions,
+    10 points each) the level-0 values take 30,240 bytes per function and
+    the rows 2,392 * 480 bytes in all, about 1.15 MB, not 27 * 188 rows.
+    """
+
+    def __init__(self, f, plan: _Plan):
+        self.f = f
+        self.level0 = np.asarray(f(plan.nodes[0].ravel()))
+        self.level0.flags.writeable = False
+        self.rows = _Rows(len(plan.path_of) * _BANK_ROWS, 1)
+
+
 def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> QuadratureResult:
     """Adaptive contour integral of `integrand` along the path.
 
-    `integrand` must accept a complex numpy array.  Each primitive,
+    `integrand` must be elementwise: it takes a complex numpy array and
+    returns an array of the same shape, each value that of its point alone.
+    It runs as the f of a one-off `_FBank` under the kernel (z, fz) -> fz,
+    the loop every integral of the package takes.  Each primitive,
     parametrised over [0, 1], gets the share of `tol` given by its length.
     A panel compares the 15-point Gauss-Legendre sum over itself (coarse)
     with the sum over its two halves (fine).  It accepts fine when
@@ -344,16 +367,19 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
     floor, when the panels stopped there and the summed error estimate
     exceeds `tol`, so a returned result always has error_estimate <= tol.
     """
-    values, errors, evaluations = _integrate_many(_plan((path,)), integrand, tol)
+    plan = _plan((path,))
+    values, errors, evaluations = _integrate_many(plan, lambda z, fz: fz, tol, _FBank(integrand, plan))
     return QuadratureResult(complex(values[0]), float(errors[0]), int(evaluations[0]))
 
 
-def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
-    """`integrate_contour(path, integrand, tol)` for each path of the memoised
-    `_plan` of a path set, in one loop: arrays of the values, error estimates
-    and evaluations of the paths.
+def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
+    """The integrals of z -> kernel(z, f(z)) along each path of the memoised
+    `_plan` of a path set, in one loop, as `integrate_contour` describes
+    them: arrays of the values, error estimates and evaluations of the paths.
+    `fbank` is an `_FBank` of an elementwise f on this plan, and `kernel`
+    takes f's values fz at the points z besides z.
 
-    Each refinement level sends the panels of every path to `integrand` in
+    Each refinement level sends the panels of every path to `kernel` in
     one call.  A path keeps its own tolerance shares, tree-order sums and
     panel budget, and every panel sum is reduced on its own, so each result
     is bitwise the one of a call for its path alone.  A path that fails on
@@ -362,13 +388,9 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
     `ToleranceError` raised is that of the first failing path, whatever its
     limit, as in a loop of single calls.  What depends only on the paths, up
     to the nodes of level 0 and the bank of shallow panel nodes, comes from
-    the plan.
-
-    With `fbank`, the `_f_bank` of an elementwise function f on this plan,
-    `integrand(z, fz)` is a kernel that takes f's values fz at the points z
-    besides z.  f's values come from the bank on level 0 and on the bank's
+    the plan.  f's values come from the bank on level 0 and on the bank's
     rows, and from a call of f on each deeper level, so every value is
-    bitwise that of the integrand z -> integrand(z, f(z)).
+    bitwise that of the integrand z -> kernel(z, f(z)).
     """
     if not 0 < tol < math.inf:
         raise ContourError(f"tolerance must be positive and finite, got {tol}")
@@ -377,8 +399,7 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
     # the panels of a level: primitive, index k of [k, k + 1] 2^-level, tolerance
     n = len(path_of)
     idx, k, ptol = np.arange(n), np.zeros(n, np.int64), tol * plan.shares
-    z = plan.nodes[0].ravel()
-    sums = _panel_sums(plan.nodes, integrand(z) if fbank is None else integrand(z, fbank.level0))
+    sums = _panel_sums(plan.nodes, kernel(plan.nodes[0].ravel(), fbank.level0))
     coarse, halves = sums[:, 0], sums[:, 1:]
     fines, errs, splits = [], [], []
     levels = []  # the primitive of each panel of levels 1, 2, ...
@@ -426,18 +447,11 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
         if level < _BANK_DEPTH:
             row = idx * _BANK_ROWS + (2**level - 2) + k
             nodes = _banked_nodes(plan, row, idx, k, level)
+            fz = fbank.rows.get(row, lambda new: (fbank.f(nodes[0][new].ravel()),))[0].ravel()
         else:
-            row = None
             nodes = _level_nodes(plan.table, idx, k, level)
-        z = nodes[0].ravel()
-        if fbank is None:
-            values = integrand(z)
-        elif row is None:
-            values = integrand(z, fbank.f(z))
-        else:
-            fz = fbank.rows.get(row, lambda new: (fbank.f(nodes[0][new].ravel()),))[0]
-            values = integrand(z, fz.ravel())
-        halves = _panel_sums(nodes, values)
+            fz = fbank.f(nodes[0].ravel())
+        halves = _panel_sums(nodes, kernel(nodes[0].ravel(), fz))
     # a split panel's value and error are its halves', added bottom-up
     for d in range(level, 0, -1):
         fines[d - 1][splits[d - 1]] = fines[d][0::2] + fines[d][1::2]
@@ -474,13 +488,8 @@ def _integrate_many(plan: _Plan, integrand, tol: float, fbank=None):
 
 # ---------------------------------------------------------------------------
 # Contour builders
-#
-# A builder's path depends only on its hashable, frozen arguments, so each
-# distinct path is built once; every caller then shares the same immutable
-# `ContourPath`.
 
 
-@functools.lru_cache(maxsize=256)
 def build_keyhole(cone: ConeSpec, N: int, M: int) -> ContourPath:
     """Positively oriented boundary of (sector of radius 2^-M) union B_N.
 
@@ -510,7 +519,6 @@ def build_keyhole(cone: ConeSpec, N: int, M: int) -> ContourPath:
     return ContourPath(prims, closed=True)
 
 
-@functools.lru_cache(maxsize=256)
 def build_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
     """Positively oriented boundary of D_n = (dyadic annulus n) minus the cone.
 
@@ -532,7 +540,6 @@ def build_annular_piece(n: int, cone: ConeSpec) -> ContourPath:
     return ContourPath(prims, closed=True)
 
 
-@functools.lru_cache(maxsize=256)
 def full_circle(center: complex, radius: float) -> ContourPath:
     half1 = Arc(center, radius, 0.0, math.pi)
     half2 = Arc(center, radius, math.pi, 2.0 * math.pi)
@@ -549,24 +556,6 @@ def _decomposition_contours(cone: ConeSpec, M: int, N: int) -> _Plan:
     return _plan(paths + (full_circle(cone.vertex, 2.0**-M),))
 
 
-class _FBank:
-    """f at the nodes of a plan that do not depend on the ray point x: the
-    flattened level-0 nodes, read-only in `level0`, and in `rows` the bank
-    rows (levels 1 to `_BANK_DEPTH` - 1) that some integral has visited.
-
-    `rows` keeps a slot map of its own, because an f visits only some of
-    its plan's rows.  On the benchmark's grid (M = 1, N = 10, 27 functions,
-    10 points each) the level-0 values take 30,240 bytes per function and
-    the rows 2,392 * 480 bytes in all, about 1.15 MB, not 27 * 188 rows.
-    """
-
-    def __init__(self, f: GalleryFunction, plan: _Plan):
-        self.f = f
-        self.level0 = np.asarray(f(plan.nodes[0].ravel()))
-        self.level0.flags.writeable = False
-        self.rows = _Rows(len(plan.path_of) * _BANK_ROWS, 1)
-
-
 @functools.lru_cache(maxsize=32)
 def _f_bank(f: GalleryFunction, plan: _Plan) -> _FBank:
     """The `_FBank` of f on `plan`, one per (f, plan).
@@ -581,6 +570,13 @@ def _f_bank(f: GalleryFunction, plan: _Plan) -> _FBank:
 
 # ---------------------------------------------------------------------------
 # Cauchy quotient and decomposition
+
+
+def _cauchy_kernel(x0: complex, x: complex):
+    """The kernel (z, fz) -> fz / ((z - x0)(z - x)) of the Cauchy integral
+    whose value over a contour about x0 and x is 2 pi i times the quotient
+    (f(x) - f(x0)) / (x - x0); every integrand of the quotient is this one."""
+    return lambda z, fz: fz / ((z - x0) * (z - x))
 
 
 def _check_x_admissible(x: complex, cone: ConeSpec, N: int, M: int):
@@ -674,13 +670,9 @@ def quotient_via_cauchy(
     f.require_base_point(v)
     N = _contour_depth(f, x, cone, N)
     _check_x_admissible(x, cone, N, M)
-    path = build_keyhole(cone, N, M)
-
-    def integrand(z):
-        return f(z) / ((z - v) * (z - x))
-
-    res = integrate_contour(path, integrand, tol=tol)
-    return res.value / (2j * math.pi)
+    plan = _plan((build_keyhole(cone, N, M),))
+    values, _, _ = _integrate_many(plan, _cauchy_kernel(v, x), tol, _f_bank(f, plan))
+    return complex(values[0]) / (2j * math.pi)
 
 
 @dataclass(frozen=True)
@@ -719,14 +711,10 @@ def annular_decomposition(
     else:
         _check_x_admissible(x, cone, N, M)
     _check_poles_off_contours(f, cone, M, N)
-
-    def kernel(z, fz):
-        return fz / ((z - v) * (z - x))
-
     annuli = [] if N == M else list(range(M, N + 1))
     term_tol = tol / (len(annuli) + 1)
     plan = _decomposition_contours(cone, M, N)
-    values, errors, evaluations = _integrate_many(plan, kernel, term_tol, _f_bank(f, plan))
+    values, errors, evaluations = _integrate_many(plan, _cauchy_kernel(v, x), term_tol, _f_bank(f, plan))
     values = values.tolist()
     terms = [(n, value / (2j * math.pi)) for n, value in zip(annuli, values)]
     circle_term = values[-1] / (2j * math.pi)
@@ -817,15 +805,12 @@ def kernel_seminorm_ratio(
         # inside the open cone x stays clear of D_n at any radius
         raise ContourError("x must satisfy |x - x0| <= 2^-n-2 or lie inside the cone")
     region = annulus_minus_cone_region(cone, n)
-
-    def g(z):
-        return f(z) / ((z - v) * (z - x))
-
-    sem_g = seminorm_estimate(g, region, alpha, pair_count=pair_count, seed=seed).value
+    kernel = _cauchy_kernel(v, x)
+    g = seminorm_estimate(lambda z: kernel(z, f(z)), region, alpha, pair_count=pair_count, seed=seed)
     if f_seminorm is None:
         f_seminorm = seminorm_estimate(
             f, DiskRegion(v, 1.0), alpha, pair_count=pair_count, seed=seed
         ).value
     if f_seminorm == 0.0:
         return 0.0
-    return sem_g / (4.0**n * f_seminorm)
+    return g.value / (4.0**n * f_seminorm)

@@ -696,6 +696,20 @@ def test_decompose_past_float64_depth_exit_2(tmp_path, capsys, monkeypatch, sect
     assert not (tmp_path / "o").exists()
 
 
+def test_decompose_degenerate_split(tmp_path, capsys):
+    # contour N == M: the circle 2^-M alone, with no annulus rows; a point
+    # outside that circle exits 2
+    raw = dict(README_CONFIG, contour={"M": 2, "N": 2, "x_scale_index": 0})  # |x| = 0.1875
+    out = tmp_path / "o"
+    assert run("decompose", readme_config(tmp_path, raw), out) == 0
+    rows = (out / "decompose.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows] == [["kind", "n"], ["lhs", ""], ["circle", "2"], ["residual", ""]]
+    assert float(capsys.readouterr().out.split("residual ")[1]) <= 2e-10
+    raw = dict(README_CONFIG, contour={"M": 3, "N": 3, "x_scale_index": 0})
+    assert run("decompose", readme_config(tmp_path, raw), tmp_path / "o3") == 2
+    assert "must lie inside the cone and |z| < 2^-3" in capsys.readouterr().err
+
+
 OFF_ORIGIN_DECOMPOSE = dict(
     README_CONFIG,
     domain={"holes": [{"center": 0.75, "radius": 0.05}], "base_point": 0.5},

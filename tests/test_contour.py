@@ -93,27 +93,34 @@ def winding_number(path, z0):
 
 
 def _slice_calls(monkeypatch, batch):
-    """Send every integrand call of the level loop in slices of `batch`
-    refined panels (2 * 15 points each): no panel sum may depend on which
-    other panels share its call."""
-    many = contour._integrate_many
+    """Send every kernel call of the level loop, and every call of the f of a
+    new `_FBank`, in slices of `batch` refined panels (2 * 15 points each):
+    no panel sum may depend on which other panels share its call."""
+    many, bank = contour._integrate_many, contour._FBank
     step = 2 * len(_GL_NODES) * batch
 
-    def sliced(plan, integrand, *args):
-        # z, and the values of f at z where the loop passes a kernel
-        def f(*arrays):
+    def sliced(fn):
+        # z, and the values of f at z where the call is the kernel's
+        def call(*arrays):
             n = len(arrays[0])
-            return np.concatenate([integrand(*(a[i : i + step] for a in arrays)) for i in range(0, n, step)])
+            return np.concatenate([fn(*(a[i : i + step] for a in arrays)) for i in range(0, n, step)])
 
-        return many(plan, f, *args)
+        return call
 
-    monkeypatch.setattr(contour, "_integrate_many", sliced)
+    monkeypatch.setattr(contour, "_integrate_many", lambda plan, kernel, *args: many(plan, sliced(kernel), *args))
+    monkeypatch.setattr(contour, "_FBank", lambda f, plan: bank(sliced(f), plan))
+
+
+def _integrate_plan(plan, integrand, tol):
+    """`_integrate_many` of `integrand` itself on `plan`, with the kernel and
+    one-off f bank of `integrate_contour`."""
+    return contour._integrate_many(plan, lambda z, fz: fz, tol, contour._FBank(integrand, plan))
 
 
 def _many(paths, integrand, tol):
     """The results of `_integrate_many` on the paths' plan as
     `integrate_contour` gives them."""
-    values, errors, evaluations = contour._integrate_many(contour._plan(tuple(paths)), integrand, tol)
+    values, errors, evaluations = _integrate_plan(contour._plan(tuple(paths)), integrand, tol)
     return [
         contour.QuadratureResult(complex(v), float(e), int(c))
         for v, e, c in zip(values, errors, evaluations)
@@ -132,6 +139,15 @@ def _bits(z: complex) -> tuple[str, str]:
 def test_path_join_validation():
     with pytest.raises(ContourError):
         ContourPath((Segment(0, 1), Segment(2, 3)))
+    # pieces 4e-13 apart, and a half circle of radius 2^-45 taken as closed:
+    # both within an absolute 1e-12, neither within 1e-12 of its scale
+    with pytest.raises(ContourError, match="do not join"):
+        ContourPath((Segment(0, 1e-13), Segment(5e-13, 6e-13)), closed=False)
+    with pytest.raises(ContourError, match="does not return to start"):
+        ContourPath((Arc(0j, 2.0**-45, 0.0, math.pi),), closed=True)
+    # pieces that meet, and the whole circle, stay paths at that scale
+    ContourPath((Segment(0, 1e-13), Segment(1e-13, 6e-13)), closed=False)
+    assert full_circle(0j, 2.0**-45).closed
 
 
 # A sampled simplicity check on 48 points per primitive, scaled to the path's
@@ -203,8 +219,8 @@ def test_builders_make_simple_paths(vertex, direction, half_angle, stretch, data
     M = data.draw(st.integers(1, n_max - 1))
     N = data.draw(st.integers(M + 1, n_max))
     cone = ConeSpec(vertex, direction, half_angle, stretch * 2.0**-M, 0.5 * math.sin(half_angle))
-    paths = [contour.build_keyhole.__wrapped__(cone, N, M)]
-    paths += [contour.build_annular_piece.__wrapped__(n, cone) for n in (M, N)]
+    paths = [build_keyhole(cone, N, M)]
+    paths += [build_annular_piece(n, cone) for n in (M, N)]
     for path in paths:
         assert _simplicity_margin(path) >= 0.01
 
@@ -918,7 +934,7 @@ def _bank_bits(nodes):
 
 
 def _many_on(plan, integrand):
-    values, errors, evaluations = contour._integrate_many(plan, integrand, 1e-10 / 11)
+    values, errors, evaluations = _integrate_plan(plan, integrand, 1e-10 / 11)
     return [a.tobytes() for a in (values, errors, evaluations)]
 
 
@@ -940,7 +956,7 @@ def test_bank_rows_are_panel_nodes(name, monkeypatch):
         # poles just off the circles 2^-2 and 2^-1 and the small circle 2^-10
         return 1.0 / (z - 0.26) + 1.0 / (z + 0.52) + 1.0 / (z - 0.00101)
 
-    contour._integrate_many(plan, integrand, 1e-10)
+    _integrate_plan(plan, integrand, 1e-10)
     _check_levels(levels)
     held = np.count_nonzero(bank.slot >= 0)
     assert 0 < held == len(bank.arrays[0]) < len(bank.slot)
@@ -999,7 +1015,7 @@ def test_decomposition_bank_memory_bound(domain, monkeypatch):
     for N in (10, 100):
         paths = [build_annular_piece(n, CONE).reversed() for n in range(1, N + 1)]
         fresh = contour._plan.__wrapped__((*paths, full_circle(0j, 0.5)))
-        contour._integrate_many(fresh, lambda z: 0.0 * z, 1e-10)
+        _integrate_plan(fresh, lambda z: 0.0 * z, 1e-10)
         assert (fresh.bank.slot == -1).all()  # no panel was refined, no row held
         for cache in (contour._plan, contour._decomposition_contours, contour._f_bank):
             cache.cache_clear()
@@ -1044,14 +1060,17 @@ def test_node_bank_fill_that_raises_marks_no_row(monkeypatch):
     assert _many_on(plan, integrand) == want
 
 
-def test_full_circle_memoised_and_equal_paths_share_results():
-    assert full_circle(0j, 0.5) is full_circle(0j, 0.5)
-    # equal but not identical: the plan cache compares paths by value
+def test_equal_paths_share_plan_and_results():
+    # rebuilt, or made by hand: equal but not identical paths, and the plan
+    # cache compares paths by value
+    rebuilt = full_circle(0j, 0.5)
     fresh = ContourPath(
         (Arc(0j, 0.5, 0.0, math.pi), Arc(0j, 0.5, math.pi, 2.0 * math.pi)),
         closed=True,
     )
-    assert fresh == full_circle(0j, 0.5) and fresh is not full_circle(0j, 0.5)
+    assert fresh == rebuilt == full_circle(0j, 0.5)
+    assert fresh is not rebuilt and rebuilt is not full_circle(0j, 0.5)
+    assert contour._plan((fresh,)) is contour._plan((rebuilt,)) is contour._plan((full_circle(0j, 0.5),))
 
     def integrand(z):
         return np.exp(z) / (z - 0.1)
@@ -1062,8 +1081,9 @@ def test_full_circle_memoised_and_equal_paths_share_results():
     assert _result_bits(integrate_contour(fresh, integrand)) == _result_bits(want)
 
 
-def test_builders_memoised_and_checked_once(monkeypatch):
-    # each distinct path is constructed, and its joins checked, once
+def test_builders_share_plans_and_check_every_build(monkeypatch):
+    # every build constructs its path and checks its joins; equal builds
+    # share one plan, and a bad build raises on every call
     built = []
     post_init = ContourPath.__post_init__
 
@@ -1073,10 +1093,12 @@ def test_builders_memoised_and_checked_once(monkeypatch):
 
     monkeypatch.setattr(ContourPath, "__post_init__", counted)
     cone = ConeSpec(0j, math.pi, math.pi / 6, 0.4999, 0.45)  # used by no other test
-    first = build_annular_piece(4, cone)
-    assert build_annular_piece(4, ConeSpec(0j, math.pi, math.pi / 6, 0.4999, 0.45)) is first
-    assert build_keyhole(cone, 6, 2) is build_keyhole(cone, 6, 2)
-    assert len(built) == 2
+    pieces = build_annular_piece(4, cone), build_annular_piece(4, ConeSpec(0j, math.pi, math.pi / 6, 0.4999, 0.45))
+    keyholes = build_keyhole(cone, 6, 2), build_keyhole(cone, 6, 2)
+    assert len(built) == 4
+    for a, b in (pieces, keyholes):
+        assert a == b and a is not b
+        assert contour._plan((a,)) is contour._plan((b,))
     short = ConeSpec(0j, math.pi, math.pi / 6, 0.1, 0.45)
     for _ in range(2):
         with pytest.raises(ContourError):
@@ -1161,7 +1183,7 @@ def test_off_origin_contour_depth_rejected(monkeypatch):
 def test_keyholes_at_every_depth_from_M_1():
     # at x0 = 0 every depth up to the cap builds, with the circle 2^-N intact
     for N in range(2, 511):
-        path = contour.build_keyhole.__wrapped__(CONE, N, 1)
+        path = build_keyhole(CONE, N, 1)
         assert path.segments[2].radius == 2.0**-N
     f = GalleryFunction(poly_coeffs=(0, 0, 1))
     for x in (-0.75 * 2.0**-28, -0.75 * 2.0**-29):
@@ -1175,27 +1197,50 @@ def test_cauchy_quotients_require_the_base_point():
             run(f, -0.1, CONE, N=8)
 
 
-def test_only_the_builders_construct_paths():
-    # a path is simple because only these make one; a new `ContourPath(` call
-    # would need its own argument why its path is simple
-    allowed = {("build_keyhole",), ("build_annular_piece",), ("full_circle",), ("ContourPath", "reversed")}
-    makers = set()
+def _scopes_where(match) -> list[tuple[str, ...]]:
+    """(module, enclosing function and class names) of each node of the
+    package's source for which `match(node)` holds, in source order."""
+    scopes = []
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name == "ContourPath":
-                    makers.add((module, *scope))
+            if match(child):
+                scopes.append((module, *scope))
             visit(child, module, scope)
 
     src = Path(__file__).resolve().parent.parent / "src" / "pointderiv"
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, ())
-    assert makers == {("contour", *a) for a in allowed}
+    return scopes
+
+
+def test_only_the_builders_construct_paths():
+    # a path is simple because only these make one; a new `ContourPath(` call
+    # would need its own argument why its path is simple
+    allowed = {("build_keyhole",), ("build_annular_piece",), ("full_circle",), ("ContourPath", "reversed")}
+
+    def makes_path(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ContourPath"
+
+    assert set(_scopes_where(makes_path)) == {("contour", *a) for a in allowed}
+
+
+def test_cauchy_kernel_written_once():
+    # a division by a product of two differences, as in fz / ((z - x0)(z - x)),
+    # is the Cauchy kernel; only `_cauchy_kernel` may write it out
+    def is_sub(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+
+    def divides_by_two_differences(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+            return False
+        d = node.right
+        return isinstance(d, ast.BinOp) and isinstance(d.op, ast.Mult) and is_sub(d.left) and is_sub(d.right)
+
+    assert _scopes_where(divides_by_two_differences) == [("contour", "_cauchy_kernel")]
 
 
 def test_quotient_rejects_x_outside_cone():
@@ -1233,10 +1278,38 @@ def test_decomposition_reverses_each_piece_once(monkeypatch):
 
 
 def test_decomposition_single_circle_reduction():
-    f = GalleryFunction(poly_coeffs=(0, 0, 1))
-    rep = annular_decomposition(f, -0.1, CONE, M=2, N=2, tol=1e-10)
-    assert rep.residual <= 2e-10
-    assert rep.annular_terms == ()
+    # N == M: no annular pieces, and the circle 2^-M alone gives the quotient
+    f, tol = GalleryFunction(poly_coeffs=(0, 0, 1)), 1e-10
+    for x in (-0.1, -0.2):
+        rep = annular_decomposition(f, x, CONE, M=2, N=2, tol=tol)
+        assert rep.annular_terms == ()
+        assert rep.residual == abs(rep.inner_circle_term - rep.lhs) <= 2 * tol
+    # x must lie inside the circle 2^-M
+    with pytest.raises(ContourError, match=r"must lie inside the cone and \|z\| < 2\^-2"):
+        annular_decomposition(f, -0.3, CONE, M=2, N=2, tol=tol)
+
+
+@pytest.fixture(scope="module")
+def gallery27(domain):
+    return build_test_gallery(domain, 27)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    index=st.integers(0, 26),
+    M=st.integers(1, 2),
+    depth=st.floats(0.01, 12.0),
+    angle=st.floats(-0.99, 0.99),
+)
+def test_quotient_via_cauchy_is_the_difference_quotient(gallery27, index, M, depth, angle):
+    # the Cauchy identity for a gallery function and a point x of the open
+    # cone inside the sector 2^-M: the keyhole integral is f(x) / (x - x0).
+    # From |x| = 2^-16 on, some functions fail with ToleranceError: the
+    # keyhole's inbound edge z0 + dz t cancels near its inner end
+    f = gallery27[index]
+    x = 2.0 ** -(M + depth) * cmath.exp(1j * (CONE.direction + angle * CONE.half_angle))
+    tol = 1e-10
+    assert abs(quotient_via_cauchy(f, x, CONE, M=M, tol=tol) - f(x) / x) <= tol
 
 
 def test_decomposition_ct_gallery(domain):
