@@ -91,8 +91,15 @@ def _section(where: str):
         raise
     except KeyError as e:
         raise ConfigError(f"{where}: missing key {e}") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{where}: {e}") from e
+
+
+def _int(table: dict, key: str, default, where: str) -> int:
+    """table[key], or `default` if absent, as an int; a value int() rejects,
+    such as NaN, Infinity, null or a word, is a ConfigError naming `where`."""
+    with _section(where):
+        return int(table.get(key, default))
 
 
 def _parse_domain(d: dict) -> SwissCheeseDomain:
@@ -105,8 +112,8 @@ def _parse_domain(d: dict) -> SwissCheeseDomain:
                 angle=float(rr.get("angle", 0.0)),
                 radius_scale=float(rr.get("radius_scale", 1.0)),
                 radius_ratio=float(rr.get("radius_ratio", 0.25)),
-                n_min=int(rr.get("n_min", 3)),
-                truncation=int(rr.get("truncation", 9)),
+                n_min=_int(rr, "n_min", 3, "domain.roadrunner.n_min"),
+                truncation=_int(rr, "truncation", 9, "domain.roadrunner.truncation"),
             )
             return fam.domain()
     outer = d.get("outer", {"center": 0.0, "radius": 1.0})
@@ -206,7 +213,7 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
                 direction=float(r.get("direction", math.pi)),
                 length=float(r.get("length", 0.25)),
             )
-            scales = int(r.get("scales", 20))
+            scales = _int(r, "scales", 20, "ray.scales")
         if scales < 0:
             raise ConfigError(f"ray.scales must be at least 0, got {scales}")
         # the last sample, at distance length * 2^-scales, as `limit` and
@@ -227,8 +234,7 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
             raise ConfigError(f"{key} must be finite and positive, got {tol}")
     with _section("gallery"):
         gallery = _parse_gallery(raw.get("gallery"), domain)
-    with _section("n_max"):
-        n_max = int(raw.get("n_max", 40))
+    n_max = _int(raw, "n_max", 40, "n_max")
     if n_max < 1:
         raise ConfigError(f"n_max must be at least 1, got {n_max}")
     # the criterion weighs annulus n by 4.0**n, which overflows from n = 512
@@ -237,18 +243,22 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
         raise ConfigError(f"n_max must be at most 510, got {n_max}")
     with _section("contour"):
         cont = raw.get("contour", {})
-        contour_M = int(cont.get("M", 1))
-        contour_N = int(cont["N"]) if "N" in cont else None
-        x_scale_index = int(cont.get("x_scale_index", 2))
+        contour_M = _int(cont, "M", 1, "contour.M")
+        contour_N = _int(cont, "N", None, "contour.N") if "N" in cont else None
+        x_scale_index = _int(cont, "x_scale_index", 2, "contour.x_scale_index")
+    # decompose takes x at 0.75 * ray.length * 2^-x_scale_index; 2.0**1024 overflows
+    if x_scale_index < -1023:
+        raise ConfigError(f"contour.x_scale_index must be at least -1023, got {x_scale_index}")
     with _section("lemma"):
         lemma_radii = [float(x) for x in raw.get("lemma", {}).get("radii", [0.4, 0.2, 0.1])]
     for i, r in enumerate(lemma_radii):
         if not 0.0 < r < math.inf:
             raise ConfigError(f"lemma.radii[{i}] must be finite and positive, got {r}")
-    with _section("seed"):
-        seed = int(raw.get("seed", 0))
+    seed, seed_key = _int(raw, "seed", 0, "seed"), "seed"
     if seed_override is not None:
-        seed = seed_override
+        seed, seed_key = seed_override, "--seed"
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"{seed_key} must be at least 0, got {seed}")
     return RunConfig(
         alpha=alpha,
         domain=domain,

@@ -579,81 +579,79 @@ def _cauchy_kernel(x0: complex, x: complex):
     return lambda z, fz: fz / ((z - x0) * (z - x))
 
 
-def _check_x_admissible(x: complex, cone: ConeSpec, N: int, M: int):
-    w = x - cone.vertex
-    r = abs(w)
-    if not (2.0**-N < r < 2.0**-M):
-        raise ContourError(f"|x - vertex| = {r} is not inside (2^-{N}, 2^-{M})")
-    if not cone.contains(x, closed=False):
-        raise ContourError(f"x = {x} does not lie inside the cone")
-
-
-def _check_poles_off_contours(f: GalleryFunction, cone: ConeSpec, M: int, N: int):
-    """Raise ContourError if a pole of f lies on a contour of the annular
-    decomposition: a circle |z - x0| = 2^-n with M <= n <= N + 1, or a cone
-    edge between the radii 2^-N-1 and 2^-M (the circle 2^-M alone if
-    N == M).  Its integral diverges, so the config is at fault, not the
-    quadrature, which would fail on its panel budget.  "On" allows a relative
-    1e-12 for rounding.  A Cauchy-transform disk may meet a contour: f stays
-    continuous, with a kink the quadrature refines around, and the D_n
-    boundary terms still add up to the quotient.
-    """
-    eps = 1e-12
-    inner = M if N == M else N + 1
-    for p, _ in f.rational_terms:
-        w = p - cone.vertex
-        r = abs(w)
-        n = round(-math.log2(r))
-        if M <= n <= inner and abs(r * 2.0**n - 1.0) <= eps:
-            raise ContourError(f"pole {p} of f lies on the contour |z - x0| = 2^-{n}")
-        if not 2.0**-inner < r < 2.0**-M:
-            continue  # the edges' ends lie on the circles
-        for a in (cone.direction - cone.half_angle, cone.direction + cone.half_angle):
-            u = w * cmath.exp(-1j * a)
-            if u.real > 0 and abs(u.imag) <= eps * r:
-                raise ContourError(f"pole {p} of f lies on the cone edge at angle {a}")
-
-
-def _inner_index(f: GalleryFunction, x: complex, cone: ConeSpec) -> int:
-    """Default inner index for f at x != vertex: the smallest N >= 2 with
-    2^-N <= |x - vertex| / 4 and no singularity of f in |z - vertex| <= 2^-N,
-    where its residue would enter the Cauchy integral.  `_contour_depth`
-    checks x and caps N."""
-    v = cone.vertex
-    dist = min(
-        [abs(p - v) for p, _ in f.rational_terms]
-        + [abs(d.center - v) - d.radius for d, _ in f.ct_terms],
-        default=math.inf,
-    )
-    if dist <= 0.0:
-        raise ContourError("a Cauchy-transform disk of f reaches the cone vertex")
-    N = max(2, int(math.ceil(-math.log2(abs(x - v) / 4.0))))
-    while 2.0**-N >= dist:
-        N += 1
-    return N
-
-
 # The deepest inner index N: on the circle 2^-N about x0 = 0 the kernel's
 # (z - x0)(z - x) underflows past it.  The criterion's `n_max` has the same cap.
 _N_MAX = 510
 # Off the origin, 2^-N >= 2^-25 |x0| keeps about 27 of float64's 53 bits of z - x0.
 _OFF_ORIGIN_DEPTH = 25
+_ON = 1e-12  # "on a contour" allows a relative 1e-12 for rounding
 
 
-def _contour_depth(f: GalleryFunction, x: complex, cone: ConeSpec, N: int | None) -> int:
-    """N, or `_inner_index` of f at x if N is None, checked before any
-    integral: x is not the vertex, N is at most `_N_MAX`, and for a vertex
-    x0 != 0, 2^-N >= 2^-25 |x0|."""
-    if x == cone.vertex:
+def _admissible_depth(f: GalleryFunction, x: complex, cone: ConeSpec, M: int, N: int | None, split: bool) -> int:
+    """The inner index N of the keyhole (`split` false) or of the annular
+    decomposition (`split` true) of f's quotient at x, checked before any
+    integral.  N None means the default: the smallest N >= 2 with
+    2^-N <= |x - x0| / 4 and no singularity of f in |z - x0| <= 2^-N.
+
+    Both Cauchy identities need f analytic on the closed region their
+    contour encloses: the sector of radius 2^-M with the disk |z - x0| <= rho,
+    rho = 2^-N for the keyhole, 2^-(N+1) for a split with N > M and 2^-M for
+    one with N == M, the circle 2^-M alone.  Raises ContourError unless
+    - f's base point is the vertex x0, and x != x0;
+    - -1024 < M < N <= 510 (M <= N for a split), so 2^-M and 2^-N are
+      positive finite floats, and 2^-N >= 2^-25 |x0|;
+    - x lies in the open cone with 2^-N < |x - x0| < 2^-M (if N == M, only
+      the upper bound);
+    - no pole or Cauchy-transform disk of f meets that region, widened by a
+      relative 1e-12 for rounding;
+    - for a split, no pole lies on a circle |z - x0| = 2^-n, M <= n <= N,
+      to a relative 1e-12: its D_n integrals diverge.  A disk may cross one.
+    """
+    v = cone.vertex
+    f.require_base_point(v)
+    if x == v:
         raise ContourError(f"x = {x} is the cone vertex, inside every circle 2^-N")
+    if not cone.contains(x, closed=False):
+        raise ContourError(f"x = {x} does not lie inside the cone")
+    r = abs(x - v)
+    # each singularity of f as its centre, its radius (0 for a pole) and itself
+    sing = [(p, 0.0, p) for p, _ in f.rational_terms] + [(d.center, d.radius, d) for d, _ in f.ct_terms]
     if N is None:
-        N = _inner_index(f, x, cone)
+        dist = min((abs(c - v) - s for c, s, _ in sing), default=math.inf)
+        if dist <= 0.0:
+            raise ContourError("a Cauchy-transform disk of f reaches the cone vertex")
+        # r / 4 underflows to 0 only where N would pass 1074
+        N = max(2, math.ceil(-math.log2(max(r / 4.0, 5e-324))))
+        while 2.0**-N >= dist:
+            N += 1
     if N > _N_MAX:
         raise ContourError(f"contour depth N = {N} exceeds {_N_MAX}, past what float64 resolves")
-    r0 = abs(cone.vertex)
+    if not -1024 < M < N + split:
+        raise ContourError(f"need -1024 < M < N, or M <= N for a decomposition, got M = {M}, N = {N}")
+    r0 = abs(v)
     if 2.0**-N < 2.0**-_OFF_ORIGIN_DEPTH * r0:
         limit = f"{_OFF_ORIGIN_DEPTH} - log2 |x0| = {_OFF_ORIGIN_DEPTH - math.log2(r0):.4g} at |x0| = {r0}"
         raise ContourError(f"contour depth N = {N} exceeds {limit}, past what float64 resolves")
+    R = 2.0**-M
+    rho, lo = (R, 0.0) if N == M else (2.0 ** -(N + split), 2.0**-N)
+    if not lo < r < R:
+        raise ContourError(f"x = {x} must lie inside the cone and |z| < 2^-{M}, and |z| > 2^-{N} if N > M")
+    turn, edge = cmath.exp(-1j * cone.direction), cmath.exp(1j * cone.half_angle)
+    for c, s, term in sing:
+        d = abs(c - v)
+        # distance to the closed sector, its axis turned onto the positive reals:
+        # to the arc's circle within the angle, else to the nearer edge from x0
+        u = (c - v) * turn
+        u = complex(u.real, abs(u.imag))
+        t = min(max((u * edge.conjugate()).real, 0.0), R)
+        gap = d - R if cmath.phase(u) <= cone.half_angle else abs(u - t * edge)
+        if min(d - rho, gap) <= s + _ON * d:
+            where = "on or inside the contour, where f must be analytic"
+        elif split and not s and M <= (n := round(-math.log2(d))) <= N and abs(d * 2.0**n - 1.0) <= _ON:
+            where = f"on the contour |z - x0| = 2^-{n}"
+        else:
+            continue
+        raise ContourError(f"{'Cauchy-transform disk' if s else 'pole'} {term} of f lies {where}")
     return N
 
 
@@ -666,12 +664,9 @@ def quotient_via_cauchy(
     tol: float = 1e-10,
 ) -> complex:
     """(f(x) - f(x0)) / (x - x0) computed via the keyhole Cauchy integral."""
-    v = cone.vertex
-    f.require_base_point(v)
-    N = _contour_depth(f, x, cone, N)
-    _check_x_admissible(x, cone, N, M)
+    N = _admissible_depth(f, x, cone, M, N, split=False)
     plan = _plan((build_keyhole(cone, N, M),))
-    values, _, _ = _integrate_many(plan, _cauchy_kernel(v, x), tol, _f_bank(f, plan))
+    values, _, _ = _integrate_many(plan, _cauchy_kernel(cone.vertex, x), tol, _f_bank(f, plan))
     return complex(values[0]) / (2j * math.pi)
 
 
@@ -702,15 +697,7 @@ def annular_decomposition(
     adaptive loop.
     """
     v = cone.vertex
-    f.require_base_point(v)
-    N = _contour_depth(f, x, cone, N)
-    if N == M:
-        # degenerate split: no annular pieces, plain circle Cauchy formula
-        if not (abs(x - v) < 2.0**-M and cone.contains(x, closed=False)):
-            raise ContourError(f"x = {x} must lie inside the cone and |z| < 2^-{M}")
-    else:
-        _check_x_admissible(x, cone, N, M)
-    _check_poles_off_contours(f, cone, M, N)
+    N = _admissible_depth(f, x, cone, M, N, split=True)
     annuli = [] if N == M else list(range(M, N + 1))
     term_tol = tol / (len(annuli) + 1)
     plan = _decomposition_contours(cone, M, N)

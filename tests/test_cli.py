@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -681,8 +682,10 @@ def test_limit_order_off_origin_base_point(tmp_path, capsys):
         ({"M": 1, "x_scale_index": 1100}, "x = 0j is the cone vertex"),
         ({"M": 1, "x_scale_index": 1000}, "contour depth N = 1005 exceeds 510"),
         ({"M": 1, "N": 2000}, "contour depth N = 2000 exceeds 510"),
+        # |x| = 2^-1073, whose quarter underflows to 0: a ValueError traceback before
+        ({"M": 1, "x_scale_index": 1071}, "contour depth N = 1074 exceeds 510"),
     ],
-    ids=["x-on-vertex", "derived-N", "given-N"],
+    ids=["x-on-vertex", "derived-N", "given-N", "subnormal-x"],
 )
 def test_decompose_past_float64_depth_exit_2(tmp_path, capsys, monkeypatch, section, message):
     # refused before any integral: the unchecked run exhausts memory
@@ -1059,3 +1062,56 @@ def test_ray_scales_up_to_the_last_nonzero_sample(tmp_path):
         else:
             with pytest.raises(ConfigError, match="ray.scales"):
                 load_config(p)
+
+
+INTEGER_KEYS = [
+    "seed",
+    "n_max",
+    "domain.roadrunner.truncation",
+    "domain.roadrunner.n_min",
+    "ray.scales",
+    "contour.M",
+    "contour.N",
+    "contour.x_scale_index",
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1e308, "three", None], ids=repr)
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+def test_invalid_integer_field_exits_2(tmp_path, capsys, key, value):
+    # one field at a time; Infinity used to raise OverflowError from int()
+    # and -1e308 to overflow 2.0**-k in decompose.  decompose reads every
+    # field: at load, or for contour.M and N in its contour check
+    raw = json.loads(json.dumps(README_CONFIG))
+    *path, last = key.split(".")
+    table = raw
+    for part in path:
+        table = table[part]
+    table[last] = value
+    assert run("decompose", readme_config(tmp_path, raw), tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert re.search(rf"\b{re.escape(last)}\b", err), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "lemma-check"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    # numpy's generators take no negative seed; both used to fail with a traceback
+    assert run(command, write_config(tmp_path, {"seed": -1}), tmp_path / "o") == 2
+    assert capsys.readouterr().err == "config error: seed must be at least 0, got -1\n"
+    assert run(command, write_config(tmp_path), tmp_path / "o", "--seed", "-1") == 2
+    assert capsys.readouterr().err == "config error: --seed must be at least 0, got -1\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_decompose_pole_inside_the_inner_circle_exits_2(tmp_path, capsys):
+    # hole 9's centre 0.75 * 2^-9 lies inside the decomposition's inner circle
+    # 2^-9 at N = 8, where the residual was 0.0141 and the run exited 3; at
+    # N = 9 it lies inside D_9, outside the region, and the run succeeds
+    gallery = [{"rational": [{"pole": [0.75 * 2.0**-9, 0.0], "weight": 1e-6}]}]
+    for N, code in ((8, 2), (9, 0)):
+        raw = dict(README_CONFIG, gallery=gallery, contour={"M": 1, "N": N})
+        assert run("decompose", readme_config(tmp_path, raw), tmp_path / f"o{N}") == code
+    err = capsys.readouterr().err
+    assert err == "config error: pole (0.00146484375+0j) of f lies on or inside the contour, where f must be analytic\n"

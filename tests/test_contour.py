@@ -35,7 +35,7 @@ from pointderiv.contour import (
     ContourPath,
     Segment,
     ToleranceError,
-    _inner_index,
+    _admissible_depth,
 )
 from pointderiv.geometry import Ray, annulus_minus_cone_region, annulus_radii
 
@@ -213,7 +213,7 @@ def test_path_simplicity_check():
     data=st.data(),
 )
 def test_builders_make_simple_paths(vertex, direction, half_angle, stretch, data):
-    # every depth `_contour_depth` allows: N <= 510 at x0 = 0, and
+    # every depth `_admissible_depth` allows: N <= 510 at x0 = 0, and
     # 2^-N >= 2^-25 |x0| off it
     n_max = next(N for N in range(510, 1, -1) if 2.0**-N >= 2.0**-25 * abs(vertex))
     M = data.draw(st.integers(1, n_max - 1))
@@ -1133,7 +1133,7 @@ def test_quotient_ct_gallery():
 
 def test_quotient_default_inner_index():
     f = GalleryFunction(poly_coeffs=(0, 1))
-    assert _inner_index(f, -0.1, CONE) == max(2, math.ceil(-math.log2(0.025)))
+    assert _admissible_depth(f, -0.1, CONE, 1, None, split=False) == max(2, math.ceil(-math.log2(0.025)))
     q = quotient_via_cauchy(f, -0.1, CONE, M=1, tol=1e-10)
     assert abs(q - 1.0) <= 1e-8
 
@@ -1142,7 +1142,7 @@ def test_default_inner_index_clears_singularities(domain):
     # at x = -0.35 the index from |x| alone is 4, and 2^-4 encloses the holes
     # from n = 5 on; every gallery function must still give f(x)/x
     x = -0.35
-    assert _inner_index(GalleryFunction(poly_coeffs=(0, 1)), x, CONE) == 4
+    assert _admissible_depth(GalleryFunction(poly_coeffs=(0, 1)), x, CONE, 1, None, split=False) == 4
     for f in build_test_gallery(domain, 27):
         assert abs(quotient_via_cauchy(f, x, CONE, M=1) - f(x) / x) <= 1e-9
         assert annular_decomposition(f, x, CONE, M=1).residual <= 2e-10
@@ -1171,8 +1171,8 @@ def test_off_origin_contour_depth_rejected(monkeypatch):
     # deeper, each run fails before any integral
     cone = ConeSpec(0.5 + 0j, math.pi, math.pi / 6, 0.5, 0.45)
     f = GalleryFunction(poly_coeffs=(0, 0, 1), base_point=0.5)
-    assert contour._contour_depth(f, 0.25, cone, 26) == 26
-    assert contour._contour_depth(f, -0.1, CONE, 510) == 510
+    assert _admissible_depth(f, 0.25, cone, 1, 26, split=True) == 26
+    assert _admissible_depth(GalleryFunction(poly_coeffs=(0, 0, 1)), -0.1, CONE, 1, 510, split=True) == 510
     monkeypatch.setattr(contour, "_integrate_many", lambda *a: pytest.fail("integrated"))
     for run in (quotient_via_cauchy, annular_decomposition):
         for N in (27, 30):
@@ -1361,6 +1361,62 @@ def test_decomposition_ct_disk_across_contour():
     f = GalleryFunction(ct_terms=((Disk(0.25, 0.075), 1.0),))
     rep = annular_decomposition(f, -0.1, CONE, M=1, N=10)
     assert rep.residual <= 2e-10
+
+
+# the decompose point of the README config, 0.75 * 0.25 * 2^-2 along the cone axis
+X_README = -0.046875
+
+
+@pytest.mark.parametrize(
+    "f, N, N_split",
+    [
+        # inside the inner circle 2^-N (2^-(N+1) for the decomposition); the
+        # keyhole was off by 0.0141 and the decomposition's residual 0.0141
+        (GalleryFunction(rational_terms=((0.75 * 2.0**-9, 1e-6),)), 8, 8),
+        # inside the cone, with the default N: off by 0.013
+        (GalleryFunction(rational_terms=((-0.3 + 0.01j, 1e-3),)), None, None),
+        # a Cauchy-transform disk inside the cone: off by 0.017
+        (GalleryFunction(ct_terms=((Disk(-0.3, 0.02), 1.0),)), 10, 10),
+        # a disk astride the decomposition's inner circle 2^-9: residual 4.7e-4
+        (GalleryFunction(ct_terms=((Disk(2e-3, 2e-4), 1.0),)), 8, 8),
+        # on the closed sector's edge, and on the circle 2^-9 that bounds the
+        # keyhole's disk at N = 9 and the decomposition's at N = 8
+        (GalleryFunction(rational_terms=((0.1 * EDGE, 1.0),)), 10, 10),
+        (GalleryFunction(rational_terms=((2.0**-9 * 1j, 1.0),)), 9, 8),
+    ],
+    ids=[
+        "pole-in-inner-disk", "pole-in-cone", "disk-in-cone",
+        "disk-astride-inner-circle", "pole-on-edge", "pole-on-inner-circle",
+    ],
+)
+def test_cauchy_computations_need_f_analytic_on_the_enclosed_region(f, N, N_split, monkeypatch):
+    # both identities need f analytic on the closed sector of radius 2^-M and
+    # the disk about x0 their contour encloses; each run fails before any integral
+    monkeypatch.setattr(contour, "_integrate_many", lambda *a: pytest.fail("integrated"))
+    with pytest.raises(ContourError, match="lies on or inside the contour"):
+        quotient_via_cauchy(f, X_README, CONE, N=N)
+    with pytest.raises(ContourError, match="lies on or inside the contour"):
+        annular_decomposition(f, X_README, CONE, N=N_split)
+
+
+def test_decomposition_accepts_singularities_outside_the_enclosed_region():
+    # a pole inside D_9 at N = 9, and a disk inside D_8 at N = 8, lie outside
+    # the sector and the disk 2^-(N+1); the residuals are those of the
+    # release before the enclosed-region check
+    pole = GalleryFunction(rational_terms=((0.75 * 2.0**-9, 1e-6),))
+    disk = GalleryFunction(ct_terms=((Disk(2.6e-3, 2e-4), 1.0),))
+    assert annular_decomposition(pole, X_README, CONE, N=9).residual == 2.1531296096336446e-17
+    assert annular_decomposition(disk, X_README, CONE, N=8).residual == 1.8149650676109635e-16
+
+
+def test_only_the_admissibility_check_reads_singularities():
+    # f's poles and disks matter to a Cauchy computation only through
+    # `_admissible_depth`; another reader would be a second check to keep in step
+    def reads_singularities(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("rational_terms", "ct_terms")
+
+    readers = [s for s in _scopes_where(reads_singularities) if s[0] == "contour"]
+    assert readers and set(readers) == {("contour", "_admissible_depth")}
 
 
 def test_cone_kernel_inequality():

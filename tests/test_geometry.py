@@ -610,3 +610,81 @@ def test_only_domain_construction_and_the_gallery_read_holes():
         visit(ast.parse(path.read_text()), path.stem, ())
     assert readers - allowed == set()
     assert readers == allowed  # the walk still finds the readers it allows
+
+
+_HOLE_SPECS = st.lists(
+    st.tuples(st.floats(0.01, 0.95), st.floats(0.0, 2.0 * math.pi), st.floats(0.01, 0.9)),
+    max_size=8,
+)
+
+
+def _random_domain(base, specs, kind):
+    # holes at distance rho from the base point with radius frac * rho, so
+    # none holds it, kept when they fit the unit disk and miss the earlier ones
+    holes = []
+    for rho, th, frac in specs:
+        h = Disk(base + rho * cmath.exp(1j * th), frac * rho)
+        if abs(h.center) + h.radius < 1.0 and all(abs(h.center - g.center) > h.radius + g.radius for g in holes):
+            holes.append(h)
+    return SwissCheeseDomain(holes=tuple(holes), base_point=base, base_point_kind=kind)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    base=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.5)),
+    specs=_HOLE_SPECS,
+    kind=st.sampled_from(["auto", "none"]),
+    points=st.lists(st.complex_numbers(max_magnitude=0.999), min_size=1, max_size=8),
+    near=st.floats(1e-5, 0.5),
+)
+def test_contains_agrees_with_boundary_distance(base, specs, kind, points, near):
+    # every point closer to z than bd(z) lies in U, and the point just past
+    # bd(z) toward the nearest boundary does not
+    domain = _random_domain(base, specs, kind)
+    x0 = domain.base_point
+    for h in domain.holes:  # points near each hole's edge as well
+        points += [h.center + h.radius * (1.0 + near) * cmath.exp(1j * k) for k in range(4)]
+    for z in points:
+        if not domain.contains(z):
+            continue
+        bd = domain.boundary_distance(z)
+        # the nearest boundary: the unit circle, a hole or a boundary base point
+        nearest = [(1.0 - abs(z), z / abs(z) if z else 1.0)]
+        nearest += [(abs(z - h.center) - h.radius, (h.center - z) / abs(h.center - z)) for h in domain.holes]
+        if domain.base_is_boundary:
+            nearest.append((abs(z - x0), (x0 - z) / abs(x0 - z)))
+        d, u = min(nearest, key=lambda e: e[0])
+        assert bd == pytest.approx(d, rel=1e-12, abs=1e-15)
+        if bd < 1e-6:
+            continue  # past rounding only for larger distances
+        for k in range(32):
+            w = cmath.exp(2j * math.pi * k / 32)
+            assert domain.contains(z + bd * (1.0 - 1e-9) * w) and domain.contains(z + 0.5 * bd * w)
+        if d == abs(z - x0) and domain.base_is_boundary:
+            assert not domain.contains(x0)  # a point: the far side lies in U again
+        else:
+            assert not domain.contains(z + bd * (1.0 + 1e-9) * u)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    base=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.5)),
+    specs=_HOLE_SPECS,
+    direction=st.floats(-math.pi, math.pi),
+    half_angle=st.floats(0.01, 1.5),
+    stretch=st.floats(0.1, 2.0),
+)
+def test_validate_cone_agrees_with_dense_sampling(base, specs, direction, half_angle, stretch):
+    # a cone `validate_cone` accepts has its closed sector, less the vertex, in U
+    domain = _random_domain(base, specs, "auto")
+    x0 = domain.base_point
+    free = min([abs(h.center - x0) - h.radius for h in domain.holes] + [1.0 - abs(x0)])
+    cone = ConeSpec(x0, direction, half_angle, stretch * free, 0.5 * math.sin(half_angle))
+    try:
+        validate_cone(domain, cone)
+    except GeometryError:
+        return
+    t = np.linspace(0.0, 1.0, 65)[1:, None]
+    a = direction + np.linspace(-half_angle, half_angle, 33)
+    for z in (x0 + cone.length * t * np.exp(1j * a)).ravel():
+        assert domain.contains(z)
