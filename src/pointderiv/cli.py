@@ -27,6 +27,7 @@ from . import __version__
 from .contour import (
     ContourError,
     ToleranceError,
+    _shown,
     annular_decomposition,
     full_circle,
     lemma_cauchy_bound_check,
@@ -95,11 +96,17 @@ def _section(where: str):
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _int(table: dict, key: str, default, where: str) -> int:
-    """table[key], or `default` if absent, as an int; a value int() rejects,
-    such as NaN, Infinity, null or a word, is a ConfigError naming `where`."""
+def _int(table: dict, key: str, default, where: str, lo: int | None = None, hi: int | None = None) -> int:
+    """table[key], or `default` if absent, as an int.  A value int() rejects,
+    such as NaN, Infinity, null or a word, is a ConfigError naming `where`,
+    and so is one below `lo` or above `hi`, shown as `_shown` prints it."""
     with _section(where):
-        return int(table.get(key, default))
+        n = int(table.get(key, default))
+    if lo is not None and n < lo:
+        raise ConfigError(f"{where} must be at least {lo}, got {_shown(n)}")
+    if hi is not None and n > hi:
+        raise ConfigError(f"{where} must be at most {hi}, got {_shown(n)}")
+    return n
 
 
 def _parse_domain(d: dict) -> SwissCheeseDomain:
@@ -213,14 +220,12 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
                 direction=float(r.get("direction", math.pi)),
                 length=float(r.get("length", 0.25)),
             )
-            scales = _int(r, "scales", 20, "ray.scales")
-        if scales < 0:
-            raise ConfigError(f"ray.scales must be at least 0, got {scales}")
+            scales = _int(r, "scales", 20, "ray.scales", lo=0)
         # the last sample, at distance length * 2^-scales, as `limit` and
         # `sweep` compute it; 2.0**-j is 0.0 from j = 1075 on
         if ray.point(ray.length * 2.0 ** -min(scales, 1075)) == ray.origin:
             raise ConfigError(
-                f"ray.scales = {scales} puts the last ray sample on the base point"
+                f"ray.scales = {_shown(scales)} puts the last ray sample on the base point"
             )
     with _section("tolerances"):
         tols = raw.get("tolerances", {})
@@ -234,21 +239,15 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
             raise ConfigError(f"{key} must be finite and positive, got {tol}")
     with _section("gallery"):
         gallery = _parse_gallery(raw.get("gallery"), domain)
-    n_max = _int(raw, "n_max", 40, "n_max")
-    if n_max < 1:
-        raise ConfigError(f"n_max must be at least 1, got {n_max}")
     # the criterion weighs annulus n by 4.0**n, which overflows from n = 512
     # on, and a family's closed-form tail starts at n_max + 1
-    if n_max > 510:
-        raise ConfigError(f"n_max must be at most 510, got {n_max}")
+    n_max = _int(raw, "n_max", 40, "n_max", lo=1, hi=510)
     with _section("contour"):
         cont = raw.get("contour", {})
         contour_M = _int(cont, "M", 1, "contour.M")
         contour_N = _int(cont, "N", None, "contour.N") if "N" in cont else None
-        x_scale_index = _int(cont, "x_scale_index", 2, "contour.x_scale_index")
-    # decompose takes x at 0.75 * ray.length * 2^-x_scale_index; 2.0**1024 overflows
-    if x_scale_index < -1023:
-        raise ConfigError(f"contour.x_scale_index must be at least -1023, got {x_scale_index}")
+        # decompose takes x at 0.75 * ray.length * 2^-x_scale_index; 2.0**1024 overflows
+        x_scale_index = _int(cont, "x_scale_index", 2, "contour.x_scale_index", lo=-1023)
     with _section("lemma"):
         lemma_radii = [float(x) for x in raw.get("lemma", {}).get("radii", [0.4, 0.2, 0.1])]
     for i, r in enumerate(lemma_radii):
@@ -258,7 +257,7 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
     if seed_override is not None:
         seed, seed_key = seed_override, "--seed"
     if seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError(f"{seed_key} must be at least 0, got {seed}")
+        raise ConfigError(f"{seed_key} must be at least 0, got {_shown(seed)}")
     return RunConfig(
         alpha=alpha,
         domain=domain,

@@ -223,16 +223,28 @@ def _level_nodes(table, idx, k, level) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _panel_nodes(table, idx, np.stack([lo, mid], -1), np.stack([mid, hi], -1))
 
 
-def _panel_sums(nodes, values) -> np.ndarray:
-    """15-point Gauss-Legendre sums over the panels of `_panel_nodes`, from
-    the integrand's `values` at their flattened nodes.
+def _weighted(g, z, vel, half) -> np.ndarray:
+    """g(z) vel W half, flattened, at the nodes z of `_panel_nodes` with
+    their velocities and their panels' half-widths (one for all, or one per
+    panel), W the Gauss-Legendre weight of each node: a panel's sum is the
+    sum of its 15 values.  `g` is called once, on the flattened z.
+
+    The product is taken in the order ((g vel) W) half, and every half-width
+    is a power of two, so a sum of these values has the bits of half times
+    the sum of (g vel) W: the order of the depth-first recursion."""
+    values = np.reshape(g(z.ravel()), z.shape) * vel * _GL_WEIGHTS * np.expand_dims(half, -1)
+    return values.ravel()
+
+
+def _panel_sums(z, values) -> np.ndarray:
+    """The sum over each panel of the kernel's `values` at the flattened
+    nodes z of `_panel_nodes`: with the weights banked in the values
+    (`_weighted`), each panel's Gauss-Legendre sum.
 
     Each sum is reduced along the node axis on its own, so a panel's sum
     does not depend on which other panels share the call.
     """
-    z, vel, half = nodes
-    vals = np.asarray(values) * vel.ravel()
-    return half * np.add.reduce(vals.reshape(z.shape) * _GL_WEIGHTS, axis=-1)
+    return np.add.reduce(np.reshape(values, z.shape), axis=-1)
 
 
 # The halves of the panels of every level below this one have their nodes
@@ -321,20 +333,22 @@ def _banked_nodes(plan: _Plan, row: np.ndarray, idx: np.ndarray, k: np.ndarray, 
 
 
 class _FBank:
-    """An elementwise f at the nodes of a plan that every integral of f over
-    it shares, whatever its kernel: the flattened level-0 nodes, read-only
-    in `level0`, and in `rows` the bank rows (levels 1 to `_BANK_DEPTH` - 1)
-    that some integral has visited.
+    """The weighted values g(z) vel W half of an elementwise g at the nodes
+    of a plan (`_weighted`), which every integral over it shares: a kernel
+    (z, w) -> kernel(z, w) then sums to the integral of kernel(z, g(z)) dz.
+    It holds them at the flattened level-0 nodes, read-only in `level0`,
+    and in `rows` at the bank rows (levels 1 to `_BANK_DEPTH` - 1) that some
+    integral has visited, filled from the plan's node bank.
 
-    `rows` keeps a slot map of its own, because an f visits only some of
-    its plan's rows.  On the benchmark's grid (M = 1, N = 10, 27 functions,
+    `rows` keeps a slot map of its own, because a g visits only some of its
+    plan's rows.  On the benchmark's grid (M = 1, N = 10, 27 functions,
     10 points each) the level-0 values take 30,240 bytes per function and
     the rows 2,392 * 480 bytes in all, about 1.15 MB, not 27 * 188 rows.
     """
 
-    def __init__(self, f, plan: _Plan):
-        self.f = f
-        self.level0 = np.asarray(f(plan.nodes[0].ravel()))
+    def __init__(self, g, plan: _Plan):
+        self.g = g
+        self.level0 = _weighted(g, *plan.nodes)
         self.level0.flags.writeable = False
         self.rows = _Rows(len(plan.path_of) * _BANK_ROWS, 1)
 
@@ -344,8 +358,8 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
 
     `integrand` must be elementwise: it takes a complex numpy array and
     returns an array of the same shape, each value that of its point alone.
-    It runs as the f of a one-off `_FBank` under the kernel (z, fz) -> fz,
-    the loop every integral of the package takes.  Each primitive,
+    It runs as the g of a one-off `_FBank` under the identity kernel
+    (z, w) -> w, the loop every integral of the package takes.  Each primitive,
     parametrised over [0, 1], gets the share of `tol` given by its length.
     A panel compares the 15-point Gauss-Legendre sum over itself (coarse)
     with the sum over its two halves (fine).  It accepts fine when
@@ -368,16 +382,17 @@ def integrate_contour(path: ContourPath, integrand, tol: float = 1e-10) -> Quadr
     exceeds `tol`, so a returned result always has error_estimate <= tol.
     """
     plan = _plan((path,))
-    values, errors, evaluations = _integrate_many(plan, lambda z, fz: fz, tol, _FBank(integrand, plan))
+    values, errors, evaluations = _integrate_many(plan, lambda z, w: w, tol, _FBank(integrand, plan))
     return QuadratureResult(complex(values[0]), float(errors[0]), int(evaluations[0]))
 
 
 def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
-    """The integrals of z -> kernel(z, f(z)) along each path of the memoised
+    """The integrals of z -> kernel(z, g(z)) along each path of the memoised
     `_plan` of a path set, in one loop, as `integrate_contour` describes
     them: arrays of the values, error estimates and evaluations of the paths.
-    `fbank` is an `_FBank` of an elementwise f on this plan, and `kernel`
-    takes f's values fz at the points z besides z.
+    `fbank` is an `_FBank` of an elementwise g on this plan, and `kernel`
+    takes the bank's weighted values w of g at the points z besides z; it
+    must be linear in w, so that its panel sums are those of the integral.
 
     Each refinement level sends the panels of every path to `kernel` in
     one call.  A path keeps its own tolerance shares, tree-order sums and
@@ -388,9 +403,9 @@ def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
     `ToleranceError` raised is that of the first failing path, whatever its
     limit, as in a loop of single calls.  What depends only on the paths, up
     to the nodes of level 0 and the bank of shallow panel nodes, comes from
-    the plan.  f's values come from the bank on level 0 and on the bank's
-    rows, and from a call of f on each deeper level, so every value is
-    bitwise that of the integrand z -> kernel(z, f(z)).
+    the plan.  g's weighted values come from the bank on level 0 and on the
+    bank's rows, and from a call of g on each deeper level, computed alike,
+    so every value is bitwise what computing afresh gives.
     """
     if not 0 < tol < math.inf:
         raise ContourError(f"tolerance must be positive and finite, got {tol}")
@@ -399,7 +414,7 @@ def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
     # the panels of a level: primitive, index k of [k, k + 1] 2^-level, tolerance
     n = len(path_of)
     idx, k, ptol = np.arange(n), np.zeros(n, np.int64), tol * plan.shares
-    sums = _panel_sums(plan.nodes, kernel(plan.nodes[0].ravel(), fbank.level0))
+    sums = _panel_sums(plan.nodes[0], kernel(plan.nodes[0].ravel(), fbank.level0))
     coarse, halves = sums[:, 0], sums[:, 1:]
     fines, errs, splits = [], [], []
     levels = []  # the primitive of each panel of levels 1, 2, ...
@@ -446,12 +461,12 @@ def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
         level += 1
         if level < _BANK_DEPTH:
             row = idx * _BANK_ROWS + (2**level - 2) + k
-            nodes = _banked_nodes(plan, row, idx, k, level)
-            fz = fbank.rows.get(row, lambda new: (fbank.f(nodes[0][new].ravel()),))[0].ravel()
+            z, vel, half = nodes = _banked_nodes(plan, row, idx, k, level)
+            w = fbank.rows.get(row, lambda new: (_weighted(fbank.g, z[new], vel[new], half),))[0]
         else:
             nodes = _level_nodes(plan.table, idx, k, level)
-            fz = fbank.f(nodes[0].ravel())
-        halves = _panel_sums(nodes, kernel(nodes[0].ravel(), fz))
+            w = _weighted(fbank.g, *nodes)
+        halves = _panel_sums(nodes[0], kernel(nodes[0].ravel(), w.ravel()))
     # a split panel's value and error are its halves', added bottom-up
     for d in range(level, 0, -1):
         fines[d - 1][splits[d - 1]] = fines[d][0::2] + fines[d][1::2]
@@ -558,33 +573,48 @@ def _decomposition_contours(cone: ConeSpec, M: int, N: int) -> _Plan:
 
 @functools.lru_cache(maxsize=32)
 def _f_bank(f: GalleryFunction, plan: _Plan) -> _FBank:
-    """The `_FBank` of f on `plan`, one per (f, plan).
+    """The `_FBank` of f's difference quotient `f.quotient` on `plan`, one
+    per (f, plan).
 
-    Every point x of a ray integrates the same f over the same paths, and f
-    at a node does not depend on x.  Gallery functions are frozen and
-    compared by value, plans by identity; as for the plans, `lru_cache`
-    takes 0.0 and -0.0 for the same key.
+    Every point x of a ray integrates the same quotient over the same paths,
+    and its weighted values at the nodes do not depend on x.  Gallery
+    functions are frozen and compared by value, plans by identity; as for
+    the plans, `lru_cache` takes 0.0 and -0.0 for the same key.
     """
-    return _FBank(f, plan)
+    return _FBank(f.quotient, plan)
 
 
 # ---------------------------------------------------------------------------
 # Cauchy quotient and decomposition
 
 
-def _cauchy_kernel(x0: complex, x: complex):
-    """The kernel (z, fz) -> fz / ((z - x0)(z - x)) of the Cauchy integral
-    whose value over a contour about x0 and x is 2 pi i times the quotient
-    (f(x) - f(x0)) / (x - x0); every integrand of the quotient is this one."""
-    return lambda z, fz: fz / ((z - x0) * (z - x))
+def _cauchy_kernel(x: complex):
+    """The kernel (z, w) -> w / (z - x) of the Cauchy integral of
+    q(z) / (z - x), with w the weighted values of an `_FBank` of f's
+    difference quotient q = `f.quotient` at x0.  q is analytic wherever f
+    is, x0 included, so over a contour about x0 and x the integral is
+    2 pi i q(x); every integrand of the quotient is this one."""
+    return lambda z, w: w / (z - x)
 
 
-# The deepest inner index N: on the circle 2^-N about x0 = 0 the kernel's
-# (z - x0)(z - x) underflows past it.  The criterion's `n_max` has the same cap.
+# The deepest inner index N, the criterion's cap on `n_max`: the annulus
+# weight 4.0**n overflows from n = 512 on.
 _N_MAX = 510
 # Off the origin, 2^-N >= 2^-25 |x0| keeps about 27 of float64's 53 bits of z - x0.
 _OFF_ORIGIN_DEPTH = 25
 _ON = 1e-12  # "on a contour" allows a relative 1e-12 for rounding
+
+
+def _shown(n: int) -> str:
+    """An integer as a message shows it: in full up to 15 digits, else as
+    %.3g of it, so int(-1e308) reads -1e+308 and not its 309 digits.  One
+    past float64's range, only ever typed out in full, stays in full."""
+    if abs(n) < 10**15:
+        return str(n)
+    try:
+        return "%.3g" % n
+    except OverflowError:
+        return str(n)
 
 
 def _admissible_depth(f: GalleryFunction, x: complex, cone: ConeSpec, M: int, N: int | None, split: bool) -> int:
@@ -625,9 +655,9 @@ def _admissible_depth(f: GalleryFunction, x: complex, cone: ConeSpec, M: int, N:
         while 2.0**-N >= dist:
             N += 1
     if N > _N_MAX:
-        raise ContourError(f"contour depth N = {N} exceeds {_N_MAX}, past what float64 resolves")
+        raise ContourError(f"contour depth N = {_shown(N)} exceeds {_N_MAX}, past what float64 resolves")
     if not -1024 < M < N + split:
-        raise ContourError(f"need -1024 < M < N, or M <= N for a decomposition, got M = {M}, N = {N}")
+        raise ContourError(f"need -1024 < M < N, or M <= N for a decomposition, got M = {_shown(M)}, N = {_shown(N)}")
     r0 = abs(v)
     if 2.0**-N < 2.0**-_OFF_ORIGIN_DEPTH * r0:
         limit = f"{_OFF_ORIGIN_DEPTH} - log2 |x0| = {_OFF_ORIGIN_DEPTH - math.log2(r0):.4g} at |x0| = {r0}"
@@ -666,7 +696,7 @@ def quotient_via_cauchy(
     """(f(x) - f(x0)) / (x - x0) computed via the keyhole Cauchy integral."""
     N = _admissible_depth(f, x, cone, M, N, split=False)
     plan = _plan((build_keyhole(cone, N, M),))
-    values, _, _ = _integrate_many(plan, _cauchy_kernel(cone.vertex, x), tol, _f_bank(f, plan))
+    values, _, _ = _integrate_many(plan, _cauchy_kernel(x), tol, _f_bank(f, plan))
     return complex(values[0]) / (2j * math.pi)
 
 
@@ -690,22 +720,22 @@ def annular_decomposition(
 ) -> DecompositionReport:
     """Per-annulus split of the difference quotient.
 
-    f(x)/x = sum over n of the D_n boundary term plus the full-circle term at
-    radius 2^-M.  The D_n boundaries are traversed clockwise here, matching
-    the orientation that makes the terms add up to the quotient.  All the
+    The quotient `f.quotient(x)` = (f(x) - f(x0)) / (x - x0) is the sum over
+    n of the D_n boundary term plus the full-circle term at radius 2^-M.
+    The D_n boundaries are traversed clockwise here, matching the
+    orientation that makes the terms add up to the quotient.  All the
     integrals, each at tolerance tol / (number of terms), run in one
     adaptive loop.
     """
-    v = cone.vertex
     N = _admissible_depth(f, x, cone, M, N, split=True)
     annuli = [] if N == M else list(range(M, N + 1))
     term_tol = tol / (len(annuli) + 1)
     plan = _decomposition_contours(cone, M, N)
-    values, errors, evaluations = _integrate_many(plan, _cauchy_kernel(v, x), term_tol, _f_bank(f, plan))
+    values, errors, evaluations = _integrate_many(plan, _cauchy_kernel(x), term_tol, _f_bank(f, plan))
     values = values.tolist()
     terms = [(n, value / (2j * math.pi)) for n, value in zip(annuli, values)]
     circle_term = values[-1] / (2j * math.pi)
-    lhs = f(x) / (x - v)
+    lhs = f.quotient(x)
     total = sum(t for _, t in terms) + circle_term
     return DecompositionReport(
         lhs=lhs,
@@ -780,7 +810,9 @@ def kernel_seminorm_ratio(
     seed: int = 0,
     f_seminorm: float | None = None,
 ) -> float:
-    """Seminorm of f(z)/((z-x0)(z-x)) on D_n relative to 4^n times seminorm(f).
+    """Seminorm of f(z)/((z-x0)(z-x)) on D_n relative to 4^n times seminorm(f),
+    with f(z)/(z - x0) as `f.quotient`, which holds inside the ct disks that
+    D_n may cross too.
 
     The proof machinery bounds this ratio by a constant independent of n and
     of the ray position x.
@@ -792,8 +824,8 @@ def kernel_seminorm_ratio(
         # inside the open cone x stays clear of D_n at any radius
         raise ContourError("x must satisfy |x - x0| <= 2^-n-2 or lie inside the cone")
     region = annulus_minus_cone_region(cone, n)
-    kernel = _cauchy_kernel(v, x)
-    g = seminorm_estimate(lambda z: kernel(z, f(z)), region, alpha, pair_count=pair_count, seed=seed)
+    kernel = _cauchy_kernel(x)
+    g = seminorm_estimate(lambda z: kernel(z, f.quotient(z)), region, alpha, pair_count=pair_count, seed=seed)
     if f_seminorm is None:
         f_seminorm = seminorm_estimate(
             f, DiskRegion(v, 1.0), alpha, pair_count=pair_count, seed=seed

@@ -86,15 +86,15 @@ def _nontangential_limits(
     limit_tol: float,
 ) -> list[LimitExperimentReport]:
     """`nontangential_limit` of each gallery function; the ray is checked
-    and sampled once, and each f is evaluated on all samples in one call.
-    Each f must be normalized at x0, so f(x0) = 0 is not evaluated."""
+    and sampled once, and each f's `quotient` is evaluated on all samples
+    in one call.  Each f must be based at x0."""
     x0 = domain.base_point
     xs = ray_samples(domain, ray, scales + 1)
     reports = []
     for f in gallery:
         f.require_base_point(x0)
         df = f.derivative(x0)
-        samples = [(x, v / (x - x0)) for x, v in zip(xs, f(np.array(xs)).tolist())]
+        samples = list(zip(xs, f.quotient(np.array(xs)).tolist()))
         reports.append(_limit_report(samples, df, limit_tol, x0))
     return reports
 
@@ -130,32 +130,30 @@ def functional_sweep(
     pair_count: int = 2000,
     seed: int = 0,
 ) -> FunctionalSweepReport:
-    """Tabulates |f(x)/x - Df| / seminorm(f) over ray samples and functions.
+    """Tabulates |L_x(f)| / seminorm(f) over ray samples and functions, with
+    L_x(f) = f.quotient(x) - f'(x0) the quotient functional.
 
     The maximum ratio estimates the uniform bound on the quotient
     functionals; it should stay stable as the sweep deepens on a domain whose
     series criterion holds.  Every function is measured on the same seminorm
     sample pairs, drawn once per process (`_seminorm_pairs` is memoised).
-    Each f must be normalized at x0.
+    Each f must be based at x0.
     """
     x0 = domain.base_point
     region = DiskRegion(domain.outer.center, domain.outer.radius)
     zw, d_alpha = _seminorm_pairs(region, alpha, pair_count, seed)
     xs = ray_samples(domain, ray, scales + 1)
-    # f is elementwise: one call gives its values at the pairs and the ray
-    points = np.concatenate([zw, xs])
     rows = []
     skipped = []
     for i, f in enumerate(gallery):
         f.require_base_point(x0)
-        values = f(points)
-        sem = _max_ratio(values, d_alpha)
+        sem = _max_ratio(f(zw), d_alpha)
         if sem == 0.0:
             skipped.append(i)
             continue
         df = f.derivative(x0)
-        for x, v in zip(xs, values[len(zw) :].tolist()):
-            lx = abs(v / (x - x0) - df)
+        for x, q in zip(xs, f.quotient(np.array(xs)).tolist()):
+            lx = abs(q - df)
             rows.append((i, x, lx, lx / sem))
     max_ratio = max((r for _, _, _, r in rows), default=0.0)
     return FunctionalSweepReport(

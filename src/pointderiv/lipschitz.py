@@ -90,6 +90,47 @@ class GalleryFunction:
         out = self._raw(z) - self._offset
         return complex(out) if scalar else out
 
+    def quotient(self, z):
+        """The difference quotient (f(z) - f(x0)) / (z - x0) at the base point
+        x0, summed term by term in forms that never subtract nearly equal
+        values:
+        - the polynomial by synthetic division at x0, Horner on the
+          coefficients of (P(z) - P(x0)) / (z - x0);
+        - a pole w / (z - p) as -w / ((z - p)(x0 - p));
+        - a Cauchy transform w pi r^2 / (c - z) as
+          w pi r^2 / ((c - z)(c - x0)) where z and x0 lie outside its disk,
+          and as -w pi conj(z - x0) / (z - x0) where both lie in the closed
+          disk; with one inside and one outside, as the raw difference over
+          z - x0, which is at least their distances to the circle apart.
+        Elementwise like f; at z = x0 it is f'(x0) outside the disks."""
+        scalar = np.isscalar(z) or isinstance(z, complex)
+        z = np.asarray(z, dtype=complex)
+        x0 = complex(self.base_point)
+        val = np.zeros_like(z)
+        b = 0j
+        for c in reversed(self.poly_coeffs[1:]):
+            b = b * x0 + c
+            val = val * z + b
+        for p, w in self.rational_terms:
+            d = z - p
+            if np.any(d == 0):
+                raise GalleryError(f"evaluation at the pole {p}")
+            val = val + w / (p - x0) / d
+        for disk, w in self.ct_terms:
+            c, r = disk.center, disk.radius
+            out = np.abs(z - c) > r
+            if abs(x0 - c) > r and out.all():
+                val = val + w * math.pi * r * r / (c - x0) / (c - z)
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mixed = w * (disk_cauchy_transform(disk, z) - disk_cauchy_transform(disk, x0)) / (z - x0)
+                if abs(x0 - c) > r:
+                    closed, same = w * math.pi * r * r / (c - x0) / (c - z), out
+                else:
+                    closed, same = -math.pi * w * np.conj(z - x0) / (z - x0), ~out
+            val = val + np.where(same, closed, mixed)
+        return complex(val) if scalar else val
+
     def derivative(self, z):
         """Closed-form derivative; valid off the poles and ct disks."""
         scalar = np.isscalar(z) or isinstance(z, complex)
@@ -115,7 +156,7 @@ class GalleryFunction:
 
     def require_base_point(self, x0: complex) -> None:
         """Raise GalleryError unless f is normalized at x0, so that f(x0) = 0
-        and the quotient (f(x) - f(x0)) / (x - x0) is f(x) / (x - x0)."""
+        and `quotient` is the difference quotient at x0."""
         if self.base_point != x0:
             raise GalleryError(f"gallery base point {self.base_point} is not x0 = {x0}")
 

@@ -249,12 +249,16 @@ def test_decompose_manifest_counts_evaluations(tmp_path):
     x = cfg.ray.point(0.75 * cfg.ray.length * 2.0**-cfg.x_scale_index)
     paths = [contour.build_annular_piece(n, cone).reversed() for n in range(1, 11)]
     paths.append(contour.full_circle(v, 0.5))
-    results = [
-        contour.integrate_contour(path, lambda z: f(z) / ((z - v) * (z - x)), tol=1e-10 / 11)
-        for path in paths
-    ]
-    assert manifest["evaluations"] == sum(r.evaluations for r in results)
-    assert manifest["err_to_tol"] == max(r.error_estimate for r in results) / (1e-10 / 11)
+    errors, evaluations = [], 0
+    for path in paths:
+        # the path's Cauchy integral alone, as the decomposition's loop computes it
+        plan = contour._plan((path,))
+        bank = contour._FBank(f.quotient, plan)
+        _, err, count = contour._integrate_many(plan, contour._cauchy_kernel(x), 1e-10 / 11, bank)
+        errors.append(float(err[0]))
+        evaluations += int(count[0])
+    assert manifest["evaluations"] == evaluations
+    assert manifest["err_to_tol"] == max(errors) / (1e-10 / 11)
     assert 0.0 < manifest["err_to_tol"] <= 1.0
 
 
@@ -560,11 +564,11 @@ README_CONFIG = {
     "n_max": 12,
 }
 
-# Written by the release that evaluated each ray sample and seminorm pair
-# table once per gallery function
+# Written by the release whose quotients are `GalleryFunction.quotient`,
+# summed term by term, not f(x) / (x - x0)
 README_SHA256 = {
-    "limit.csv": "29e44d244af73822c04e960f7030ca9138a1bf7211d588937924ccce81bc28b9",
-    "sweep.csv": "3d84218f8ac55d2c440dd03b81b29a551b10b3d00c2b64c18bda6b576d8ce4a4",
+    "limit.csv": "da68bb96c09cd566e60f9c8b1cb59dc769cc44a802794f1e3555b75dc10fcc63",
+    "sweep.csv": "8d04eb1069f9315e8147dde68c9aa8e3ebf6b6661874cf16843d870eccb996f8",
 }
 
 # The benchmark's deep and clipped domains, with 20 gallery functions: poles
@@ -582,25 +586,25 @@ CLIPPED_LIMIT_CONFIG = dict(
     n_max=10,
 )
 
-# Written by the release that fitted the convergence order with np.polyfit
-# and formatted every x_re,x_im cell of a table on its own
+# Written by the same release as README_SHA256
 DEEP_SHA256 = {
-    "limit.csv": "a2bd715f0b5e13fafac2829c184caf51bfbf7ccc6be387cd08f11893e788e43c",
-    "sweep.csv": "e732de39f67f48f299ef5e28d8387166c94c79a33360e5a6d4d530de1682120b",
+    "limit.csv": "9c2152f2e29e2a542bf22dd8100a9af2a2a84d071a3ea617d66eba807dfee01b",
+    "sweep.csv": "9b114cecc9dc1ca433f75ad662a90f0558ae6cd972f7dd5a3ce31f5c40ce900b",
 }
 CLIPPED_SHA256 = {
-    "limit.csv": "eb18897cf5c111c202e04eeac97c2b53f1d6aa0d9520fb87367c5490ade004af",
-    "sweep.csv": "bbe305c66881d02e241685743087c637e4524394582124cd958364bf95253dd0",
+    "limit.csv": "e808ee3cf6fc34b8588dc7ff7bf8aaadfe0a3ba1cf2cd1496c9b78afadf05b04",
+    "sweep.csv": "ff33d763eb85084519cc6cf909694d066114fc1220c5b4b01f4862c8121711ec",
 }
 
 # decompose.csv of the README, deep and clipped configs, written by the
-# release whose node bank was a zeroed array per plan.  The three configs
-# share the cone, the ray, the contour and their first gallery function, the
-# one decompose integrates, so they share one digest.
+# release whose Cauchy kernel is w / (z - x) over a bank of the weighted
+# quotient, with the quotient's closed form as the left-hand side.  The
+# three configs share the cone, the ray, the contour and their first gallery
+# function, the one decompose integrates, so they share one digest.
 DECOMPOSE_SHA256 = {
-    "readme": "65e2b58578c127e0a1ade64bff21f1999d68d0bb2002ac3ab82b9c0992eacea6",
-    "deep": "65e2b58578c127e0a1ade64bff21f1999d68d0bb2002ac3ab82b9c0992eacea6",
-    "clipped": "65e2b58578c127e0a1ade64bff21f1999d68d0bb2002ac3ab82b9c0992eacea6",
+    "readme": "3ba4ee212bbf64c7cef445002aab75caf7bb415aec44ccee1179e4961f8b2fc8",
+    "deep": "3ba4ee212bbf64c7cef445002aab75caf7bb415aec44ccee1179e4961f8b2fc8",
+    "clipped": "3ba4ee212bbf64c7cef445002aab75caf7bb415aec44ccee1179e4961f8b2fc8",
 }
 
 # cone.csv and the stdout of `cone` on the same three configs, written by the
@@ -662,6 +666,15 @@ def test_cone_bytes(tmp_path, capsys):
         got = hashlib.sha256((out / "cone.csv").read_bytes()).hexdigest()
         assert got == CONE_SHA256[name], name
         assert capsys.readouterr().out == CONE_STDOUT, name
+
+
+def test_limit_converges_deep_in_the_ray(tmp_path, capsys):
+    # at scales 60 the last sample is 0.25 * 2^-60 from x0; f(x) / x kept
+    # none of the quotient's bits there and 21 of 27 verdicts read NOT_CONVERGED
+    raw = dict(README_CONFIG, ray=dict(README_CONFIG["ray"], scales=60), gallery={"preset": "auto", "count": 27})
+    assert run("limit", readme_config(tmp_path, raw), tmp_path / "o") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 27 and all(" verdict CONVERGED " in line for line in lines)
 
 
 def test_limit_order_off_origin_base_point(tmp_path, capsys):
@@ -1093,6 +1106,27 @@ def test_invalid_integer_field_exits_2(tmp_path, capsys, key, value):
     assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert re.search(rf"\b{re.escape(last)}\b", err), err
     assert not (tmp_path / "o").exists()
+
+
+def test_n_max_minus_1e308_is_shown_as_written(tmp_path, capsys):
+    # int(-1e308) has 309 digits, and the message used to print them all
+    assert run("criterion", write_config(tmp_path, {"n_max": -1e308}), tmp_path / "o") == 2
+    assert capsys.readouterr().err == "config error: n_max must be at least 1, got -1e+308\n"
+
+
+@pytest.mark.parametrize("value", [-1e308, 1e308], ids=repr)
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+def test_out_of_range_integer_field_message_is_short(tmp_path, capsys, key, value):
+    # a run that rejects the field shows %.3g of it, never all of its digits
+    raw = json.loads(json.dumps(README_CONFIG))
+    *path, last = key.split(".")
+    table = raw
+    for part in path:
+        table = table[part]
+    table[last] = value
+    run("decompose", readme_config(tmp_path, raw), tmp_path / "o")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not re.search(r"\d{16}", err), err
 
 
 @pytest.mark.parametrize("command", ["sweep", "lemma-check"])

@@ -480,17 +480,23 @@ def test_integrate_many_matches_single_paths(index, batch, gallery, monkeypatch)
     assert [_result_bits(r) for r in many] == [_result_bits(r) for r in single]
 
 
-def _decomposition_reference(f, x, M=1, N=10, tol=1e-10):
-    """`annular_decomposition` from one `integrate_contour` call per term."""
-    def integrand(z):
-        return f(z) / (z * (z - x))
+def _cauchy_integral(path, f, x, tol):
+    """The integral of f.quotient(z) / (z - x) along the path alone, with
+    the Cauchy kernel and a one-off bank of the quotient."""
+    plan = contour._plan((path,))
+    bank = contour._FBank(f.quotient, plan)
+    values, _, _ = contour._integrate_many(plan, contour._cauchy_kernel(x), tol, bank)
+    return complex(values[0])
 
+
+def _decomposition_reference(f, x, M=1, N=10, tol=1e-10):
+    """`annular_decomposition` from one Cauchy integral per term."""
     term_tol = tol / (N - M + 2)
     values = [
-        integrate_contour(path, integrand, tol=term_tol).value / (2j * math.pi)
+        _cauchy_integral(path, f, x, term_tol) / (2j * math.pi)
         for path in _decomposition_paths(M, N)
     ]
-    lhs = f(x) / x
+    lhs = f.quotient(x)
     terms = list(zip(range(M, N + 1), values))
     circle = values[-1]
     return lhs, terms, circle, abs(lhs - (sum(values[:-1]) + circle))
@@ -688,13 +694,13 @@ def test_level0_points_evaluated_once_per_function_and_plan(gallery, monkeypatch
 
     monkeypatch.setattr(contour, "_banked_nodes", spy_rows)
     calls = []
-    call = GalleryFunction.__call__
+    call = GalleryFunction.quotient
 
     def spy(self, z):
         calls.append(np.array(z))
         return call(self, z)
 
-    monkeypatch.setattr(GalleryFunction, "__call__", spy)
+    monkeypatch.setattr(GalleryFunction, "quotient", spy)
     for f in (gallery[15], NEAR):
         deep = []  # points of the levels beyond the bank, per pass
         for _ in range(2):
@@ -703,7 +709,7 @@ def test_level0_points_evaluated_once_per_function_and_plan(gallery, monkeypatch
             for x in GRID_XS:
                 annular_decomposition(f, x, CONE, M=1, N=10)
             arrays = [z for z in calls if z.ndim]
-            # f sees x once per call
+            # f's quotient sees x once per call
             assert len(calls) - len(arrays) == len(GRID_XS)
             deep.append(sum(2 * len(_GL_NODES) * len(d) for from_bank, d in levels if not from_bank))
             if len(deep) == 1:
@@ -717,6 +723,7 @@ def test_level0_points_evaluated_once_per_function_and_plan(gallery, monkeypatch
                 assert sum(z.size for z in arrays) == deep[1]
         assert deep[0] == deep[1]
     assert deep[0] > 0  # NEAR refines past the bank
+    contour._f_bank.cache_clear()  # no later test sees the spy
 
 
 def test_level0_memo_is_read_only_and_small(domain):
@@ -765,8 +772,9 @@ def test_f_bank_cold_and_warm_bits(domain, monkeypatch):
 
 # SHA-256 of `_report_bits` over the benchmark's grid (27 functions, 10 ray
 # points, tol 1e-10) and NEAR at four points, which refines past the bank;
-# written by the release whose node bank was a zeroed array per plan
-GRID_REPORTS_SHA256 = "0ef21d57665ca9e59e186960d4a0ae023a42b49679d8fe290ff0d7fc7cb329e1"
+# written by the release whose Cauchy kernel is w / (z - x) over a bank of
+# the weighted quotient
+GRID_REPORTS_SHA256 = "5ff3fefca85f3899cc94938dc9c1c06e0b62295fa6c1835e0dff8f497f299925"
 
 
 def test_decomposition_grid_report_bits_pinned(domain):
@@ -777,7 +785,7 @@ def test_decomposition_grid_report_bits_pinned(domain):
 
 
 @pytest.mark.parametrize(
-    "tol, raised", [(1e-10, 0), (1e-13, 0), (1e-14, 128), (1e-15, 230), (1e-16, 268)]
+    "tol, raised", [(1e-10, 0), (1e-13, 0), (1e-14, 128), (1e-15, 228), (1e-16, 268)]
 )
 def test_decomposition_grid_success_meets_its_tolerance(domain, tol, raised):
     # below about 1e-13 panels stop on the rounding floor 1e-16 (1 + |fine|),
@@ -794,6 +802,16 @@ def test_decomposition_grid_success_meets_its_tolerance(domain, tol, raised):
             else:
                 assert rep.err_to_tol <= 1.0
     assert failures == raised
+
+
+def test_decomposition_certifies_the_gallery_deep_in_the_cone(domain):
+    # at |x| = 0.75 * 2^-40 the kernel f(z) / ((z - x0)(z - x)) missed its
+    # tolerance for 21 of these functions; q(z) / (z - x) certifies them all
+    x, tol = -0.75 * 2.0**-40, 1e-10
+    for f in build_test_gallery(domain, 27):
+        rep = annular_decomposition(f, x, CONE, M=1, tol=tol)
+        assert rep.residual <= 2 * tol and rep.err_to_tol <= 1.0, f.label
+        assert len(rep.annular_terms) == 43  # the default N is 43
 
 
 def test_library_quadrature_fails_at_the_rounding_floor(domain):
@@ -818,18 +836,19 @@ def test_f_bank_fill_that_raises_marks_no_row(monkeypatch):
     contour._f_bank.cache_clear()
     want = _report_bits(annular_decomposition(NEAR, x, CONE, M=1, N=10))
     contour._f_bank.cache_clear()
-    call = GalleryFunction.__call__
+    call = GalleryFunction.quotient
     sizes = []  # points of each array call that returned
+    fail = [True]  # the bank keeps the method it was made with
 
     def failing(self, z):
-        if np.ndim(z) and len(sizes) == 2:  # the fill of level 2
+        if fail[0] and np.ndim(z) and len(sizes) == 2:  # the fill of level 2
             raise RuntimeError("f failed")
         out = call(self, z)
         if np.ndim(z):
             sizes.append(np.size(z))
         return out
 
-    monkeypatch.setattr(GalleryFunction, "__call__", failing)
+    monkeypatch.setattr(GalleryFunction, "quotient", failing)
     with pytest.raises(RuntimeError, match="f failed"):
         annular_decomposition(NEAR, x, CONE, M=1, N=10)
     bank = contour._f_bank(NEAR, contour._decomposition_contours(CONE, 1, 10))
@@ -837,8 +856,9 @@ def test_f_bank_fill_that_raises_marks_no_row(monkeypatch):
     # the rows of level 1 are kept, and no row of level 2 is marked
     held = np.count_nonzero(bank.rows.slot >= 0)
     assert held == len(bank.rows.arrays[0]) == sizes[1] // (2 * len(_GL_NODES))
-    monkeypatch.setattr(GalleryFunction, "__call__", call)
+    fail[0] = False
     assert _report_bits(annular_decomposition(NEAR, x, CONE, M=1, N=10)) == want
+    contour._f_bank.cache_clear()  # no later test sees the spy
 
 
 def test_paths_together_past_the_budget_each_within_it(monkeypatch):
@@ -869,8 +889,8 @@ def test_paths_together_past_the_budget_each_within_it(monkeypatch):
 def test_path_total_starts_from_zero(monkeypatch):
     # numpy's panel sums are never -0.0, but the totals must not rest on it:
     # with every primitive's sum -0.0 - 0.0j, a Python sum from 0j gives 0j
-    def panel_sums(nodes, values):
-        return np.full(nodes[0].shape[:-1], complex(-0.0, -0.0))
+    def panel_sums(z, values):
+        return np.full(z.shape[:-1], complex(-0.0, -0.0))
 
     monkeypatch.setattr(contour, "_panel_sums", panel_sums)
     paths = [full_circle(0j, 1.0), build_keyhole(CONE, N=10, M=1)]  # 2 and 4 primitives
@@ -1229,18 +1249,27 @@ def test_only_the_builders_construct_paths():
 
 
 def test_cauchy_kernel_written_once():
-    # a division by a product of two differences, as in fz / ((z - x0)(z - x)),
-    # is the Cauchy kernel; only `_cauchy_kernel` may write it out
-    def is_sub(node):
-        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+    # a division by a difference of two values, as in w / (z - x) or
+    # (f(x) - f(x0)) / (x - x0), or by a product with one, is the Cauchy
+    # kernel or a difference quotient: only `_cauchy_kernel` divides by z - x,
+    # and only `GalleryFunction.quotient` writes the quotient out
+    def is_difference(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and not any(isinstance(side, ast.Constant) for side in (node.left, node.right))
+        )
 
-    def divides_by_two_differences(node):
+    def divides_by_a_difference(node):
         if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
             return False
         d = node.right
-        return isinstance(d, ast.BinOp) and isinstance(d.op, ast.Mult) and is_sub(d.left) and is_sub(d.right)
+        factors = (d.left, d.right) if isinstance(d, ast.BinOp) and isinstance(d.op, ast.Mult) else (d,)
+        return any(map(is_difference, factors))
 
-    assert _scopes_where(divides_by_two_differences) == [("contour", "_cauchy_kernel")]
+    scopes = _scopes_where(divides_by_a_difference)
+    assert scopes.count(("contour", "_cauchy_kernel")) == 1
+    assert set(scopes) == {("contour", "_cauchy_kernel"), ("lipschitz", "GalleryFunction", "quotient")}
 
 
 def test_quotient_rejects_x_outside_cone():
@@ -1402,11 +1431,11 @@ def test_cauchy_computations_need_f_analytic_on_the_enclosed_region(f, N, N_spli
 def test_decomposition_accepts_singularities_outside_the_enclosed_region():
     # a pole inside D_9 at N = 9, and a disk inside D_8 at N = 8, lie outside
     # the sector and the disk 2^-(N+1); the residuals are those of the
-    # release before the enclosed-region check
+    # release whose Cauchy kernel is w / (z - x) over the weighted quotient
     pole = GalleryFunction(rational_terms=((0.75 * 2.0**-9, 1e-6),))
     disk = GalleryFunction(ct_terms=((Disk(2.6e-3, 2e-4), 1.0),))
-    assert annular_decomposition(pole, X_README, CONE, N=9).residual == 2.1531296096336446e-17
-    assert annular_decomposition(disk, X_README, CONE, N=8).residual == 1.8149650676109635e-16
+    assert annular_decomposition(pole, X_README, CONE, N=9).residual == 2.3466176853378762e-17
+    assert annular_decomposition(disk, X_README, CONE, N=8).residual == 1.814963302083864e-16
 
 
 def test_only_the_admissibility_check_reads_singularities():

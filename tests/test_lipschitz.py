@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,69 @@ def test_gallery_eval_at_pole_raises():
     f = GalleryFunction(rational_terms=((0.5, 1.0),))
     with pytest.raises(GalleryError):
         f(0.5)
+
+
+def _exact_quotient(f, x):
+    """(f(x) - f(x0)) / (x - x0) in rational arithmetic, as (real, imag)
+    Fractions, for x, the base point x0, the poles and the disk centres on
+    the real axis, with math.pi for pi: every input is a float, so the
+    value is exact."""
+    t, t0, pi = Fraction(x.real), Fraction(complex(f.base_point).real), Fraction(math.pi)
+
+    def ct(disk, z):
+        c, r = Fraction(disk.center.real), Fraction(disk.radius)
+        return pi * r * r / (c - z) if abs(z - c) > r else -pi * (z - c)
+
+    parts = [(a, t**n - t0**n) for n, a in enumerate(f.poly_coeffs)]
+    parts += [(w, 1 / (t - Fraction(p.real)) - 1 / (t0 - Fraction(p.real))) for p, w in f.rational_terms]
+    parts += [(w, ct(d, t) - ct(d, t0)) for d, w in f.ct_terms]
+    re = sum(Fraction(w.real) * k for w, k in parts) / (t - t0)
+    im = sum(Fraction(w.imag) * k for w, k in parts) / (t - t0)
+    return re, im
+
+
+def _relative_error(q: complex, exact) -> float:
+    re, im = exact
+    return math.hypot(float(Fraction(q.real) - re), float(Fraction(q.imag) - im)) / math.hypot(re, im)
+
+
+W = 0.7 - 0.3j
+QUOTIENT_CASES = {
+    "poly": (GalleryFunction(poly_coeffs=(0.3, 2, -1, 0.5j, 0.25)), 0.0),
+    "poly off the origin": (GalleryFunction(poly_coeffs=(0.3, 2, -1, 0.5j, 0.25), base_point=0.375), 0.375),
+    "pole": (GalleryFunction(rational_terms=((0.75 * 2.0**-9, W),)), 0.0),
+    "pole off the origin": (GalleryFunction(rational_terms=((0.625, W),), base_point=0.375), 0.375),
+    "ct outside": (GalleryFunction(ct_terms=((Disk(0.75 * 2.0**-5, 2.0**-9), W),)), 0.0),
+    # x and x0 in the closed disk, x0 at its centre and off it
+    "ct inside": (GalleryFunction(ct_terms=((Disk(0.0, 1.0), W),)), 0.0),
+    "ct inside off centre": (GalleryFunction(ct_terms=((Disk(-0.5, 0.75), W),)), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_matches_exact_reference_deep(name):
+    # x = x0 - 2^-j: f(x) - f(x0) cancels ever more, the term-by-term
+    # quotient does not; off the origin x reaches x0 from j = 55 on
+    f, x0 = QUOTIENT_CASES[name]
+    xs = np.array([x0 - 2.0**-j for j in range(1, 101) if x0 - 2.0**-j != x0], complex)
+    for x, q in zip(xs.tolist(), f.quotient(xs).tolist()):
+        assert _relative_error(q, _exact_quotient(f, x)) <= 1e-15, (name, x)
+    assert f.quotient(complex(xs[-1])) == q  # a scalar z gives the array's bits
+
+
+def test_quotient_ct_with_x_inside_and_x0_outside():
+    # the raw difference: x at the centre of a disk that x0 = 0 lies outside
+    for j in range(1, 101):
+        x = -(2.0**-j)
+        f = GalleryFunction(ct_terms=((Disk(x, 2.0 ** -(j + 1)), W),))
+        assert _relative_error(f.quotient(x), _exact_quotient(f, x)) <= 1e-15, j
+
+
+def test_gallery_quotient_matches_exact_reference(domain):
+    xs = np.array([-(2.0**-j) for j in range(1, 101)], complex)
+    for f in build_test_gallery(domain, 27):
+        for x, q in zip(xs.tolist(), f.quotient(xs).tolist()):
+            assert _relative_error(q, _exact_quotient(f, x)) <= 1e-15, (f.label, x)
 
 
 def test_derivative_poly():
