@@ -251,8 +251,9 @@ def load_config(path: Path, seed_override: int | None = None, tol_override: floa
     with _section("lemma"):
         lemma_radii = [float(x) for x in raw.get("lemma", {}).get("radii", [0.4, 0.2, 0.1])]
     for i, r in enumerate(lemma_radii):
-        if not 0.0 < r < math.inf:
-            raise ConfigError(f"lemma.radii[{i}] must be finite and positive, got {r}")
+        # lemma-check integrates `conjugate_function()`, which is conj(z) only on the unit disk
+        if not 0.0 < r <= 1.0:
+            raise ConfigError(f"lemma.radii[{i}] must lie in (0, 1], got {r}")
     seed, seed_key = _int(raw, "seed", 0, "seed"), "seed"
     if seed_override is not None:
         seed, seed_key = seed_override, "--seed"
@@ -332,8 +333,8 @@ def _svg_loglog(points: list[tuple[float, float]], title: str) -> str:
         pts = [(1.0, 1.0)]
     lx = [math.log10(x) for x, _ in pts]
     ly = [math.log10(y) for _, y in pts]
-    x0, x1 = min(lx), max(lx) or 1.0
-    y0, y1 = min(ly), max(ly) or 1.0
+    x0, x1 = min(lx), max(lx)
+    y0, y1 = min(ly), max(ly)
     sx = lambda x: pad + (x - x0) / ((x1 - x0) or 1.0) * (w - 2 * pad)
     sy = lambda y: h - pad - (y - y0) / ((y1 - y0) or 1.0) * (h - 2 * pad)
     poly = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(lx, ly))
@@ -610,12 +611,16 @@ def main(argv=None) -> int:
         t1 = time.perf_counter()
         files, lines, stats = COMMANDS[args.command](ctx)
         stage_s = {"load": t1 - t0, "compute": time.perf_counter() - t1}
-        ctx.emit(files, lines, {**stats, "stage_s": stage_s})
     except ToleranceError as e:
         print(f"numerical tolerance failure: {e}", file=sys.stderr)
         return 3
     except (ConfigError, GeometryError, GalleryError, ContentError, CriterionError, ContourError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    try:
+        ctx.emit(files, lines, {**stats, "stage_s": stage_s})
+    except OSError as e:  # such as an --out that names a file or a path under one
+        print(f"output error: {e}", file=sys.stderr)
         return 2
     return 0
 

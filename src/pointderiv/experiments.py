@@ -93,7 +93,7 @@ def _nontangential_limits(
     reports = []
     for f in gallery:
         f.require_base_point(x0)
-        df = f.derivative(x0)
+        df = f.quotient(x0)
         samples = list(zip(xs, f.quotient(np.array(xs)).tolist()))
         reports.append(_limit_report(samples, df, limit_tol, x0))
     return reports
@@ -151,7 +151,7 @@ def functional_sweep(
         if sem == 0.0:
             skipped.append(i)
             continue
-        df = f.derivative(x0)
+        df = f.quotient(x0)
         for x, q in zip(xs, f.quotient(np.array(xs)).tolist()):
             lx = abs(q - df)
             rows.append((i, x, lx, lx / sem))

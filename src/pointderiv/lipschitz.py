@@ -1,9 +1,9 @@
 """Closed-form gallery functions and Lipschitz seminorm estimators.
 
 Gallery functions are sums of a polynomial, simple poles placed inside holes,
-and Cauchy transforms of hole disks; all have closed-form values and
-derivatives, are Lipschitz on the closed unit disk, and vanish at the base
-point by construction.
+and Cauchy transforms of hole disks, Lipschitz on the closed unit disk and
+zero at the base point x0 by construction; one closed-form sum over their
+terms gives their values, difference quotients and derivatives f'(x0).
 """
 from __future__ import annotations
 
@@ -65,94 +65,69 @@ class GalleryFunction:
             if p == complex(self.base_point):
                 raise GalleryError("pole coincides with the base point")
 
-    @functools.cached_property
-    def _offset(self):
-        """The raw value at the base point, computed on the first evaluation:
-        building a gallery evaluates no function."""
-        return self._raw(complex(self.base_point))
-
-    def _raw(self, z):
+    def _terms(self, z):
+        """The one sum over f's terms at the points z: (d, q, D, m) with
+        d = z - x0, f(z) - f(x0) = d q + D and the quotient q + D / d, in
+        forms that subtract no nearly equal values.  q holds the polynomial
+        by synthetic division at x0 (Horner on the coefficients of
+        (P(z) - P(x0)) / (z - x0)), a pole w / (z - p) as
+        -w / ((z - p)(x0 - p)), and a Cauchy transform w pi r^2 / (c - z) as
+        w pi r^2 / ((c - z)(c - x0)) where z and x0 lie outside its disk.
+        D holds the transform's difference, -w pi conj(z - x0) where both lie
+        in the closed disk and raw where one does, at least their distances
+        to the circle apart; m marks the points with a part in D, and both
+        are None if none has one.  Each formula runs only where it serves."""
         z = np.asarray(z, dtype=complex)
-        val = np.zeros_like(z)
-        for k, c in enumerate(reversed(self.poly_coeffs)):
-            val = val * z + c
+        x0 = complex(self.base_point)
+        d = z - x0
+        q = np.zeros_like(z)
+        D = m = None
+        b = 0j
+        for c in reversed(self.poly_coeffs[1:]):
+            b = b * x0 + c
+            q = q * z + b
         for p, w in self.rational_terms:
-            d = z - p
-            if np.any(d == 0):
+            zp = z - p
+            if np.any(zp == 0):
                 raise GalleryError(f"evaluation at the pole {p}")
-            val = val + w / d
+            q = q + w / (p - x0) / zp
         for disk, w in self.ct_terms:
-            val = val + w * disk_cauchy_transform(disk, z)
-        return val
+            c, r = disk.center, disk.radius
+            x0_out = abs(x0 - c) > r
+            out = np.abs(z - c) > r
+            if x0_out and out.all():
+                q = q + w * math.pi * r * r / (c - x0) / (c - z)
+                continue
+            if D is None:
+                D, m = np.zeros_like(z), np.zeros(z.shape, bool)
+            same = out if x0_out else ~out  # z on x0's side of the circle
+            if x0_out:
+                q[same] += w * math.pi * r * r / (c - x0) / (c - z[same])
+            else:
+                D[same] += w * (-math.pi * np.conj(d[same]))
+                m |= same
+            D[~same] += w * (disk_cauchy_transform(disk, z[~same]) - disk_cauchy_transform(disk, x0))
+            m |= ~same
+        return d, q, D, m
 
     def __call__(self, z):
         scalar = np.isscalar(z) or isinstance(z, complex)
-        out = self._raw(z) - self._offset
+        d, q, D, m = self._terms(z)
+        out = d * q if D is None else d * q + D
         return complex(out) if scalar else out
 
     def quotient(self, z):
         """The difference quotient (f(z) - f(x0)) / (z - x0) at the base point
-        x0, summed term by term in forms that never subtract nearly equal
-        values:
-        - the polynomial by synthetic division at x0, Horner on the
-          coefficients of (P(z) - P(x0)) / (z - x0);
-        - a pole w / (z - p) as -w / ((z - p)(x0 - p));
-        - a Cauchy transform w pi r^2 / (c - z) as
-          w pi r^2 / ((c - z)(c - x0)) where z and x0 lie outside its disk,
-          and as -w pi conj(z - x0) / (z - x0) where both lie in the closed
-          disk; with one inside and one outside, as the raw difference over
-          z - x0, which is at least their distances to the circle apart.
-        Elementwise like f; at z = x0 it is f'(x0) outside the disks."""
+        x0, from `_terms`.  Elementwise like f; at z = x0 it is f'(x0), and a
+        GalleryError if x0 lies in a closed ct disk, where f has no complex
+        derivative."""
         scalar = np.isscalar(z) or isinstance(z, complex)
-        z = np.asarray(z, dtype=complex)
-        x0 = complex(self.base_point)
-        val = np.zeros_like(z)
-        b = 0j
-        for c in reversed(self.poly_coeffs[1:]):
-            b = b * x0 + c
-            val = val * z + b
-        for p, w in self.rational_terms:
-            d = z - p
-            if np.any(d == 0):
-                raise GalleryError(f"evaluation at the pole {p}")
-            val = val + w / (p - x0) / d
-        for disk, w in self.ct_terms:
-            c, r = disk.center, disk.radius
-            out = np.abs(z - c) > r
-            if abs(x0 - c) > r and out.all():
-                val = val + w * math.pi * r * r / (c - x0) / (c - z)
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mixed = w * (disk_cauchy_transform(disk, z) - disk_cauchy_transform(disk, x0)) / (z - x0)
-                if abs(x0 - c) > r:
-                    closed, same = w * math.pi * r * r / (c - x0) / (c - z), out
-                else:
-                    closed, same = -math.pi * w * np.conj(z - x0) / (z - x0), ~out
-            val = val + np.where(same, closed, mixed)
-        return complex(val) if scalar else val
-
-    def derivative(self, z):
-        """Closed-form derivative; valid off the poles and ct disks."""
-        scalar = np.isscalar(z) or isinstance(z, complex)
-        z = np.asarray(z, dtype=complex)
-        for disk, _ in self.ct_terms:
-            if np.any(np.abs(z - disk.center) <= disk.radius):
-                raise GalleryError(
-                    f"derivative requested inside or on the ct disk {disk}"
-                )
-        val = np.zeros_like(z)
-        n = len(self.poly_coeffs)
-        for k, c in enumerate(reversed(self.poly_coeffs[1:])):
-            deg = n - 1 - k
-            val = val * z + deg * c
-        for p, w in self.rational_terms:
-            d = z - p
-            if np.any(d == 0):
-                raise GalleryError(f"derivative at the pole {p}")
-            val = val - w / d**2
-        for disk, w in self.ct_terms:
-            val = val + w * math.pi * disk.radius**2 / (disk.center - z) ** 2
-        return complex(val) if scalar else val
+        d, q, D, m = self._terms(z)
+        if D is not None:
+            if np.any(d[m] == 0):
+                raise GalleryError(f"no derivative at the base point {self.base_point} in a ct disk")
+            q[m] += D[m] / d[m]
+        return complex(q) if scalar else q
 
     def require_base_point(self, x0: complex) -> None:
         """Raise GalleryError unless f is normalized at x0, so that f(x0) = 0

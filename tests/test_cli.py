@@ -586,14 +586,16 @@ CLIPPED_LIMIT_CONFIG = dict(
     n_max=10,
 )
 
-# Written by the same release as README_SHA256
+# The deep limit.csv written by the same release as README_SHA256; the other
+# three by the release whose values f(x) are (x - x0) q(x) and whose f'(x0)
+# is the quotient q at x0, all from one sum over the terms
 DEEP_SHA256 = {
     "limit.csv": "9c2152f2e29e2a542bf22dd8100a9af2a2a84d071a3ea617d66eba807dfee01b",
-    "sweep.csv": "9b114cecc9dc1ca433f75ad662a90f0558ae6cd972f7dd5a3ce31f5c40ce900b",
+    "sweep.csv": "15cc8c4084b17eda8963a201f620b15027a026b682b3272297ef1d2f3fe4811d",
 }
 CLIPPED_SHA256 = {
-    "limit.csv": "e808ee3cf6fc34b8588dc7ff7bf8aaadfe0a3ba1cf2cd1496c9b78afadf05b04",
-    "sweep.csv": "ff33d763eb85084519cc6cf909694d066114fc1220c5b4b01f4862c8121711ec",
+    "limit.csv": "ef589cd8669d8c3932976c9af13944d2536ee0f08d365116dc20e2f5c24c62a5",
+    "sweep.csv": "4d22a61d9afa174d8a12c7c0eeef89f416b918b9f111afdf4d0579d2e212312b",
 }
 
 # decompose.csv of the README, deep and clipped configs, written by the
@@ -1063,6 +1065,40 @@ def test_lemma_radius_must_be_finite_and_positive(tmp_path, capsys, radius):
     err = capsys.readouterr().err
     assert "config error" in err and "lemma.radii[1]" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_lemma_radius_above_1_exit_2(tmp_path, capsys):
+    # lemma-check integrates conjugate_function(), which is conj(z) only on
+    # the unit disk: radius 2 used to write kappa_hat 0.574, not pi/2, and exit 0
+    p = write_config(tmp_path, {"lemma": {"radii": [1.0, 2.0]}})
+    assert run("lemma-check", p, tmp_path / "o") == 2
+    assert capsys.readouterr().err == "config error: lemma.radii[1] must lie in (0, 1], got 2.0\n"
+    assert not (tmp_path / "o").exists()
+    p = write_config(tmp_path, {"lemma": {"radii": [1.0]}})
+    assert run("lemma-check", p, tmp_path / "o") == 0
+    line = capsys.readouterr().out
+    assert line.startswith("radius 1.0 kappa_hat ")
+    assert float(line.split()[-1]) == pytest.approx(math.pi / 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("under, error", [(False, "File exists"), (True, "Not a directory")])
+def test_out_naming_a_file_exit_2(tmp_path, capsys, under, error):
+    # mkdir on a file, or on a path under one, used to end in a traceback
+    # and exit 1
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "o" if under else taken
+    assert run("criterion", write_config(tmp_path), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and error in err and "Traceback" not in err
+    assert taken.read_text() == "kept\n"
+
+
+def test_svg_loglog_keeps_a_zero_maximum():
+    # log10 |x| = 0 at the largest sample: the right edge at 590, where a
+    # maximum of 0 replaced by 1 used to put it at 410
+    svg = cli._svg_loglog([(0.01, 1e-3), (1.0, 1e-2)], "t")
+    assert 'points="50.00,370.00 590.00,50.00"' in svg
 
 
 def test_ray_scales_up_to_the_last_nonzero_sample(tmp_path):

@@ -1252,7 +1252,7 @@ def test_cauchy_kernel_written_once():
     # a division by a difference of two values, as in w / (z - x) or
     # (f(x) - f(x0)) / (x - x0), or by a product with one, is the Cauchy
     # kernel or a difference quotient: only `_cauchy_kernel` divides by z - x,
-    # and only `GalleryFunction.quotient` writes the quotient out
+    # and only the one term sum `GalleryFunction._terms` writes the quotient out
     def is_difference(node):
         return (
             isinstance(node, ast.BinOp)
@@ -1269,7 +1269,7 @@ def test_cauchy_kernel_written_once():
 
     scopes = _scopes_where(divides_by_a_difference)
     assert scopes.count(("contour", "_cauchy_kernel")) == 1
-    assert set(scopes) == {("contour", "_cauchy_kernel"), ("lipschitz", "GalleryFunction", "quotient")}
+    assert set(scopes) == {("contour", "_cauchy_kernel"), ("lipschitz", "GalleryFunction", "_terms")}
 
 
 def test_quotient_rejects_x_outside_cone():

@@ -11,7 +11,9 @@ from pointderiv import (
     DiskRegion,
     GalleryFunction,
     Ray,
+    SwissCheeseDomain,
     build_test_gallery,
+    conjugate_function,
     functional_sweep,
     nontangential_limit,
     seminorm_estimate,
@@ -136,7 +138,7 @@ def test_sweep_linearity(domain, ray):
     x = ray.point(ray.length * 2.0**-3)
 
     def functional(fn):
-        return fn(x) / x - fn.derivative(0j)
+        return fn(x) / x - fn.quotient(0j)
 
     assert abs(functional(h) - (2 * functional(f) - functional(g))) <= 1e-10
 
@@ -172,7 +174,7 @@ def _scalar_limit(f, domain, ray, scales, limit_tol):
     for j in range(scales + 1):
         x = ray.point(ray.length * 2.0**-j)
         samples.append((x, f.quotient(x)))
-    return _limit_report(samples, f.derivative(x0), limit_tol, x0)
+    return _limit_report(samples, f.quotient(x0), limit_tol, x0)
 
 
 def test_gallery_limits_equal_scalar_runs(domain, ray):
@@ -194,7 +196,7 @@ def test_sweep_equals_per_function_seminorms(domain, ray, gallery):
     assert rep.skipped == () and len(rep.grid) == 13 * len(gallery)
     for i, x, lx, ratio in rep.grid:
         f = gallery[i]
-        assert lx == abs(f.quotient(x) - f.derivative(0j))
+        assert lx == abs(f.quotient(x) - f.quotient(0j))
         assert ratio == lx / sems[i]
 
 
@@ -240,3 +242,12 @@ def test_f_normalized_elsewhere_is_refused(domain, ray):
         functional_sweep([f], domain, ray, scales=5)
     with pytest.raises(GalleryError, match="base point 0.1j is not x0 = 0j"):
         nontangential_limit(f, domain, ray, scales=5)
+
+
+def test_no_derivative_at_x0_in_a_ct_disk_is_refused():
+    # conj(z) has no complex derivative at 0: an error, not a NaN f'(x0)
+    f, domain, ray = conjugate_function(), SwissCheeseDomain(), Ray(0j, math.pi, 0.25)
+    with pytest.raises(GalleryError, match="no derivative at the base point"):
+        nontangential_limit(f, domain, ray)
+    with pytest.raises(GalleryError, match="no derivative at the base point"):
+        functional_sweep([f], domain, ray)

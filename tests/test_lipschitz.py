@@ -83,13 +83,15 @@ def test_gallery_eval_at_pole_raises():
     f = GalleryFunction(rational_terms=((0.5, 1.0),))
     with pytest.raises(GalleryError):
         f(0.5)
+    with pytest.raises(GalleryError, match="pole coincides with the base point"):
+        GalleryFunction(rational_terms=((0.25j, 1.0),), base_point=0.25j)
 
 
 def _exact_quotient(f, x):
     """(f(x) - f(x0)) / (x - x0) in rational arithmetic, as (real, imag)
     Fractions, for x, the base point x0, the poles and the disk centres on
     the real axis, with math.pi for pi: every input is a float, so the
-    value is exact."""
+    value is exact.  Times x - x0 it is the exact value f(x)."""
     t, t0, pi = Fraction(x.real), Fraction(complex(f.base_point).real), Fraction(math.pi)
 
     def ct(disk, z):
@@ -107,6 +109,12 @@ def _exact_quotient(f, x):
 def _relative_error(q: complex, exact) -> float:
     re, im = exact
     return math.hypot(float(Fraction(q.real) - re), float(Fraction(q.imag) - im)) / math.hypot(re, im)
+
+
+def _value_error(f, x: complex, exact) -> float:
+    """The relative error of f(x) = (x - x0) q(x), from the exact quotient."""
+    d = Fraction(x.real) - Fraction(complex(f.base_point).real)
+    return _relative_error(f(x), (d * exact[0], d * exact[1]))
 
 
 W = 0.7 - 0.3j
@@ -128,8 +136,12 @@ def test_quotient_matches_exact_reference_deep(name):
     # quotient does not; off the origin x reaches x0 from j = 55 on
     f, x0 = QUOTIENT_CASES[name]
     xs = np.array([x0 - 2.0**-j for j in range(1, 101) if x0 - 2.0**-j != x0], complex)
-    for x, q in zip(xs.tolist(), f.quotient(xs).tolist()):
-        assert _relative_error(q, _exact_quotient(f, x)) <= 1e-15, (name, x)
+    for x, q, v in zip(xs.tolist(), f.quotient(xs).tolist(), f(xs).tolist()):
+        exact = _exact_quotient(f, x)
+        assert _relative_error(q, exact) <= 1e-15, (name, x)
+        # the value (x - x0) q(x) does not cancel either
+        assert _value_error(f, x, exact) <= 1e-15, (name, x)
+        assert f(x) == v  # a scalar z gives the array's bits
     assert f.quotient(complex(xs[-1])) == q  # a scalar z gives the array's bits
 
 
@@ -145,42 +157,54 @@ def test_gallery_quotient_matches_exact_reference(domain):
     xs = np.array([-(2.0**-j) for j in range(1, 101)], complex)
     for f in build_test_gallery(domain, 27):
         for x, q in zip(xs.tolist(), f.quotient(xs).tolist()):
-            assert _relative_error(q, _exact_quotient(f, x)) <= 1e-15, (f.label, x)
+            exact = _exact_quotient(f, x)
+            assert _relative_error(q, exact) <= 1e-15, (f.label, x)
+            assert _value_error(f, x, exact) <= 1e-15, (f.label, x)
+
+
+# f'(x0) is the quotient at z = x0
 
 
 def test_derivative_poly():
     f = GalleryFunction(poly_coeffs=(0, 0, 1))
-    assert f.derivative(0j) == 0j
+    assert f.quotient(0j) == 0j
 
 
 def test_derivative_ct():
     # frozen oracle 0.1963495409 from central finite differences of the value
     f = GalleryFunction(ct_terms=((CT_DISK, 1.0),))
-    assert f.derivative(0j) == pytest.approx(0.1963495409, abs=1e-9)
-    assert f.derivative(0j) == pytest.approx(math.pi / 16, abs=1e-12)
+    assert f.quotient(0j) == pytest.approx(0.1963495409, abs=1e-9)
+    assert f.quotient(0j) == pytest.approx(math.pi / 16, abs=1e-12)
 
 
 def test_derivative_rational():
     f = GalleryFunction(rational_terms=((0.5, 1.0),))
-    assert f.derivative(0j) == pytest.approx(-4.0)
+    assert f.quotient(0j) == pytest.approx(-4.0)
 
 
 def test_derivative_inside_ct_disk_raises():
-    f = GalleryFunction(ct_terms=((CT_DISK, 1.0),))
-    with pytest.raises(GalleryError):
-        f.derivative(0.5)
+    # x0 at the centre of the disk and on its circle: no complex derivative,
+    # not a NaN; other points, and the value at x0, are fine
+    for x0 in (0.5, 0.625):
+        f = GalleryFunction(ct_terms=((CT_DISK, 1.0),), base_point=x0)
+        for z in (x0, np.array([0.55, x0])):
+            with pytest.raises(GalleryError, match="no derivative at the base point"):
+                f.quotient(z)
+        assert f(x0) == 0j
+        assert math.isfinite(abs(f.quotient(0.55)))
 
 
 def test_derivative_matches_finite_differences():
-    f = GalleryFunction(
-        poly_coeffs=(0, 1j, 0.25),
-        rational_terms=((0.5, 0.2),),
-        ct_terms=((CT_DISK, 0.5j),),
-    )
     h = 1e-5
     for z in (0j, -0.3, 0.2j, -0.1 - 0.1j):
+        f = GalleryFunction(
+            poly_coeffs=(0, 1j, 0.25),
+            rational_terms=((0.5, 0.2),),
+            ct_terms=((CT_DISK, 0.5j),),
+            base_point=z,
+        )
         fd = (f(z + h) - f(z - h)) / (2 * h)
-        assert abs(fd - f.derivative(z)) <= 1e-6 * max(1.0, abs(f.derivative(z)))
+        assert abs(fd - f.quotient(z)) <= 1e-6 * max(1.0, abs(f.quotient(z)))
 
 
 def test_seminorm_conjugate():
@@ -221,9 +245,8 @@ def test_build_test_gallery(domain, gallery):
 
 
 def _gallery_fields(f):
-    # repr tells -0.0 from 0.0 and keeps every digit; `_offset`, computed on
-    # first use and not a field, is compared too
-    return repr([getattr(f, fl.name) for fl in dataclasses.fields(f)] + [f._offset])
+    # repr tells -0.0 from 0.0 and keeps every digit
+    return repr([getattr(f, fl.name) for fl in dataclasses.fields(f)])
 
 
 @pytest.mark.parametrize("count", [0, 1, 6, 20, 27])
@@ -255,26 +278,6 @@ def test_validate_for_domain_rejects_ct_disk_just_outside_small_hole():
     with pytest.raises(GalleryError, match="is not contained in any hole"):
         GalleryFunction(ct_terms=((d, 1.0),)).validate_for_domain(domain)
     GalleryFunction(ct_terms=((Disk(0.5, 1e-6), 1.0),)).validate_for_domain(domain)
-
-
-def test_gallery_offset_is_computed_on_first_use(domain, monkeypatch):
-    calls = []
-    raw = GalleryFunction._raw
-
-    def spy(self, z):
-        calls.append(z)
-        return raw(self, z)
-
-    monkeypatch.setattr(GalleryFunction, "_raw", spy)
-    gallery = build_test_gallery(domain, 27)
-    assert calls == []
-    f = gallery[13]
-    assert f(0.01) == raw(f, 0.01) - raw(f, 0j)
-    assert f(-0.02) == raw(f, -0.02) - raw(f, 0j)
-    # the offset once, then one call per evaluation
-    assert len(calls) == 3
-    with pytest.raises(GalleryError, match="pole coincides with the base point"):
-        GalleryFunction(rational_terms=((0.25j, 1.0),), base_point=0.25j)
 
 
 def test_seminorm_pairs_are_read_only_and_drawn_once():
