@@ -224,7 +224,7 @@ def _level_nodes(table, idx, k, level) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _weighted(g, z, vel, half) -> np.ndarray:
-    """g(z) vel W half, flattened, at the nodes z of `_panel_nodes` with
+    """g(z) vel W half, shaped as z, at the nodes z of `_panel_nodes` with
     their velocities and their panels' half-widths (one for all, or one per
     panel), W the Gauss-Legendre weight of each node: a panel's sum is the
     sum of its 15 values.  `g` is called once, on the flattened z.
@@ -232,19 +232,19 @@ def _weighted(g, z, vel, half) -> np.ndarray:
     The product is taken in the order ((g vel) W) half, and every half-width
     is a power of two, so a sum of these values has the bits of half times
     the sum of (g vel) W: the order of the depth-first recursion."""
-    values = np.reshape(g(z.ravel()), z.shape) * vel * _GL_WEIGHTS * np.expand_dims(half, -1)
-    return values.ravel()
+    return np.reshape(g(z.ravel()), z.shape) * vel * _GL_WEIGHTS * np.expand_dims(half, -1)
 
 
-def _panel_sums(z, values) -> np.ndarray:
-    """The sum over each panel of the kernel's `values` at the flattened
-    nodes z of `_panel_nodes`: with the weights banked in the values
-    (`_weighted`), each panel's Gauss-Legendre sum.
+def _panel_sums(values) -> np.ndarray:
+    """The sum over each panel of the kernel's `values` at nodes shaped as
+    those of `_panel_nodes`, the last axis a panel's 15 nodes: with the
+    weights banked in the values (`_weighted`), each panel's Gauss-Legendre
+    sum.
 
     Each sum is reduced along the node axis on its own, so a panel's sum
     does not depend on which other panels share the call.
     """
-    return np.add.reduce(np.reshape(values, z.shape), axis=-1)
+    return np.add.reduce(values, axis=-1)
 
 
 # The halves of the panels of every level below this one have their nodes
@@ -258,22 +258,22 @@ _BANK_ROWS = 2**_BANK_DEPTH - 2
 class _Rows:
     """Bank rows of (2, 15) complex arrays, computed on first use and held at
     exact size: `slot` maps each row to its place in `arrays`, or -1 while it
-    is not computed, so memory follows the rows visited."""
+    is not computed, so memory follows the rows visited.  A warm level of
+    `_integrate_many` gathers held rows by `slot`; only a miss fills, by `get`."""
 
     def __init__(self, n_rows: int, n_arrays: int):
         self.slot = np.full(n_rows, -1, np.int32)
         self.arrays = (np.empty((0, 2, len(_GL_NODES)), complex),) * n_arrays
 
     def get(self, row: np.ndarray, fill) -> tuple:
-        """The arrays at the distinct rows `row`; `fill(new)` computes them at
-        the rows row[new] not yet held.  A row is marked only after `fill`
-        has returned, so a fill that raises leaves the rows as they were."""
+        """The arrays at the distinct rows `row`; `fill(new)` computes them
+        shaped (-1, 2, 15) at the rows row[new] not yet held.  A row is marked
+        only after `fill` has returned, so a fill that raises leaves them as they were."""
         slot = self.slot[row]
         new = slot < 0
         if new.any():
             start = len(self.arrays[0])
-            rows = (np.reshape(b, (-1, 2, len(_GL_NODES))) for b in fill(new))
-            self.arrays = tuple(map(np.concatenate, zip(self.arrays, rows)))
+            self.arrays = tuple(map(np.concatenate, zip(self.arrays, fill(new))))
             slot[new] = np.arange(start, len(self.arrays[0]))
             self.slot[row[new]] = slot[new]
         return tuple(a[slot] for a in self.arrays)
@@ -327,7 +327,8 @@ def _banked_nodes(plan: _Plan, row: np.ndarray, idx: np.ndarray, k: np.ndarray, 
     read from the plan's bank rows `row`, idx * _BANK_ROWS + 2^level - 2 + k;
     0 < level < `_BANK_DEPTH`.  A row is computed by `_level_nodes` on its
     first use, and elementwise arithmetic gives it the bits of any other
-    call; every half-width of the level is 2^-(level + 2), exact."""
+    call; every half-width of the level is 2^-(level + 2), exact.  Only a
+    level that misses a row of its f bank calls this; a warm one gathers z."""
     z, vel = plan.bank.get(row, lambda new: _level_nodes(plan.table, idx[new], k[new], level)[:2])
     return z, vel, 2.0 ** -(level + 2)
 
@@ -341,14 +342,16 @@ class _FBank:
     integral has visited, filled from the plan's node bank.
 
     `rows` keeps a slot map of its own, because a g visits only some of its
-    plan's rows.  On the benchmark's grid (M = 1, N = 10, 27 functions,
-    10 points each) the level-0 values take 30,240 bytes per function and
-    the rows 2,392 * 480 bytes in all, about 1.15 MB, not 27 * 188 rows.
+    plan's rows.  A row enters it only after the plan's bank holds its nodes,
+    so a level with every row held here gathers z and w from the two banks
+    directly; only a miss fills.  On the benchmark's grid (M = 1, N = 10, 27
+    functions, 10 points each) the level-0 values take 30,240 bytes per
+    function and the rows 2,392 * 480 bytes, about 1.15 MB, not 27 * 188.
     """
 
     def __init__(self, g, plan: _Plan):
         self.g = g
-        self.level0 = _weighted(g, *plan.nodes)
+        self.level0 = _weighted(g, *plan.nodes).ravel()
         self.level0.flags.writeable = False
         self.rows = _Rows(len(plan.path_of) * _BANK_ROWS, 1)
 
@@ -391,8 +394,9 @@ def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
     `_plan` of a path set, in one loop, as `integrate_contour` describes
     them: arrays of the values, error estimates and evaluations of the paths.
     `fbank` is an `_FBank` of an elementwise g on this plan, and `kernel`
-    takes the bank's weighted values w of g at the points z besides z; it
-    must be linear in w, so that its panel sums are those of the integral.
+    takes the bank's weighted values w of g at the points z besides z, both
+    shaped as the nodes with a panel's 15 last; it must be elementwise and
+    linear in w, so that its panel sums are those of the integral.
 
     Each refinement level sends the panels of every path to `kernel` in
     one call.  A path keeps its own tolerance shares, tree-order sums and
@@ -403,9 +407,10 @@ def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
     `ToleranceError` raised is that of the first failing path, whatever its
     limit, as in a loop of single calls.  What depends only on the paths, up
     to the nodes of level 0 and the bank of shallow panel nodes, comes from
-    the plan.  g's weighted values come from the bank on level 0 and on the
-    bank's rows, and from a call of g on each deeper level, computed alike,
-    so every value is bitwise what computing afresh gives.
+    the plan.  g's weighted values come from the f bank on level 0 and on
+    banked levels, gathered with z straight from the banks unless a row is
+    missed and filled, and from a call of g on each deeper level, computed
+    alike, so every value is bitwise what computing afresh gives.
     """
     if not 0 < tol < math.inf:
         raise ContourError(f"tolerance must be positive and finite, got {tol}")
@@ -414,9 +419,9 @@ def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
     # the panels of a level: primitive, index k of [k, k + 1] 2^-level, tolerance
     n = len(path_of)
     idx, k, ptol = np.arange(n), np.zeros(n, np.int64), tol * plan.shares
-    sums = _panel_sums(plan.nodes[0], kernel(plan.nodes[0].ravel(), fbank.level0))
+    sums = _panel_sums(kernel(plan.nodes[0], np.reshape(fbank.level0, plan.nodes[0].shape)))
     coarse, halves = sums[:, 0], sums[:, 1:]
-    fines, errs, splits = [], [], []
+    fines, errs, sels = [], [], []
     levels = []  # the primitive of each panel of levels 1, 2, ...
     refined = 0  # panels beyond level 0, over all paths
 
@@ -431,46 +436,51 @@ def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
         fine = halves[:, 0] + halves[:, 1]
         diff = fine - coarse
         err = np.hypot(diff.real, diff.imag)
-        split = ~((err <= ptol) | (err <= 1e-16 * (1.0 + np.hypot(fine.real, fine.imag))))
-        fines.append(fine)
-        errs.append(err)
-        splits.append(split)
-        count = 2 * np.count_nonzero(split)
+        # a NaN err, or a NaN floor (a NaN part of fine), splits the panel
+        sel = (~(err <= np.maximum(ptol, 1e-16 * (1.0 + np.hypot(fine.real, fine.imag))))).nonzero()[0]
+        count = 2 * len(sel)
         # no path can pass its budget while all of them together stay within it
         if count and (level >= _MAX_DEPTH or refined + count > _MAX_PANELS):
-            pid = path_of[idx]
-            counts = 2 * np.bincount(pid[split], minlength=n_paths)
+            pid = path_of[idx[sel]]
+            counts = 2 * np.bincount(pid, minlength=n_paths)
             over = (counts > 0) & ((level >= _MAX_DEPTH) | (refined_per_path() + counts > _MAX_PANELS))
             if over.any():
                 # this path and every later one stop; an earlier one may still fail
                 p = int(np.argmax(over))
-                i = np.flatnonzero(split & (pid == p))[0]
+                i = sel[np.argmax(pid == p)]
                 failure = p, level, k[i], ptol[i], fine[i], err[i]
-                split &= pid < p
-                count = 2 * np.count_nonzero(split)
+                sel = sel[pid < p]
+                count = 2 * len(sel)
+        fines.append(fine)
+        errs.append(err)
+        sels.append(sel)
         if not count:
             break
         # each split panel becomes its halves 2k and 2k + 1 of the next level
-        idx = idx[split].repeat(2)
-        k = (2 * k[split]).repeat(2)
-        k[1::2] += 1
-        ptol = (ptol[split] / 2.0).repeat(2)
-        coarse = halves[split].ravel()
+        idx = idx[sel].repeat(2)
+        k, k2 = np.empty(count, np.int64), 2 * k[sel]
+        k[0::2], k[1::2] = k2, k2 + 1
+        ptol = (ptol[sel] * 0.5).repeat(2)
+        coarse = halves[sel].ravel()
         levels.append(idx)
         refined += count
         level += 1
         if level < _BANK_DEPTH:
             row = idx * _BANK_ROWS + (2**level - 2) + k
-            z, vel, half = nodes = _banked_nodes(plan, row, idx, k, level)
-            w = fbank.rows.get(row, lambda new: (_weighted(fbank.g, z[new], vel[new], half),))[0]
+            slot = fbank.rows.slot[row]
+            if slot.min() >= 0:  # held here, so its nodes in the plan's bank too
+                z, w = plan.bank.arrays[0][plan.bank.slot[row]], fbank.rows.arrays[0][slot]
+            else:
+                z, vel, half = _banked_nodes(plan, row, idx, k, level)
+                (w,) = fbank.rows.get(row, lambda new: (_weighted(fbank.g, z[new], vel[new], half),))
         else:
-            nodes = _level_nodes(plan.table, idx, k, level)
-            w = _weighted(fbank.g, *nodes)
-        halves = _panel_sums(nodes[0], kernel(nodes[0].ravel(), w.ravel()))
+            z, vel, half = _level_nodes(plan.table, idx, k, level)
+            w = _weighted(fbank.g, z, vel, half)
+        halves = _panel_sums(kernel(z, w))
     # a split panel's value and error are its halves', added bottom-up
     for d in range(level, 0, -1):
-        fines[d - 1][splits[d - 1]] = fines[d][0::2] + fines[d][1::2]
-        errs[d - 1][splits[d - 1]] = errs[d][0::2] + errs[d][1::2]
+        fines[d - 1][sels[d - 1]] = fines[d][0::2] + fines[d][1::2]
+        errs[d - 1][sels[d - 1]] = errs[d][0::2] + errs[d][1::2]
     # each path's primitives added in order, from 0 as a Python sum would
     # (0 + -0.0 is 0.0): bincount adds its weights one by one from zero, and
     # a complex sum is the sums of its parts
@@ -479,7 +489,7 @@ def _integrate_many(plan: _Plan, kernel, tol: float, fbank: _FBank):
     values.imag = np.bincount(path_of, fines[0].imag, n_paths)
     errors = np.bincount(path_of, errs[0], n_paths)
     # only panels stopped by the floor can take a path's sum past its tolerance
-    floor = np.flatnonzero(errors[: failure[0] if failure else n_paths] > tol)
+    floor = (errors[: failure[0] if failure else n_paths] > tol).nonzero()[0]
     if floor.size:
         p = floor[0]
         raise ToleranceError(

@@ -100,10 +100,12 @@ def _slice_calls(monkeypatch, batch):
     step = 2 * len(_GL_NODES) * batch
 
     def sliced(fn):
-        # z, and the values of f at z where the call is the kernel's
+        # z, and the values of f at z where the call is the kernel's; the
+        # kernel's arrays are shaped, f's flat, and both are sliced flat
         def call(*arrays):
-            n = len(arrays[0])
-            return np.concatenate([fn(*(a[i : i + step] for a in arrays)) for i in range(0, n, step)])
+            flat = [np.ravel(a) for a in arrays]
+            parts = [fn(*(a[i : i + step] for a in flat)) for i in range(0, len(flat[0]), step)]
+            return np.reshape(np.concatenate(parts), np.shape(arrays[0]))
 
         return call
 
@@ -415,6 +417,29 @@ def test_pole_at_arc_end_fails_within_budget():
     with pytest.raises(ToleranceError, match="budget"):
         integrate_contour(path, integrand)
     assert sum(points) <= len(_GL_NODES) * (3 * len(path.segments) + 2 * contour._MAX_PANELS)
+
+
+def test_nan_node_never_accepts_its_panel():
+    # g is NaN at the first point of each call of it, a node of the leftmost
+    # splitting panel: its err is NaN, which no tolerance or floor accepts,
+    # so the panel splits down to the depth limit
+    def integrand(z):
+        out = np.ones_like(z)
+        out[0] = np.nan
+        return out
+
+    with pytest.raises(ToleranceError, match=r"stalled at the depth limit on \[0\.0, .*\] \(err nan > tol") as got:
+        integrate_contour(full_circle(0j, 1.0), integrand)
+    assert math.isnan(got.value.error_estimate) and cmath.isnan(got.value.best)
+
+
+def test_infinite_integrand_splits_every_panel():
+    # inf - inf is NaN in every panel's err, so every panel splits until the
+    # path's panels pass its budget
+    with np.errstate(invalid="ignore"), pytest.raises(ToleranceError) as got:
+        integrate_contour(full_circle(0j, 1.0), lambda z: np.full_like(z, np.inf))
+    assert "stalled at the budget of 32768 panels on [0.0, 0.0001220703125] (err nan > tol" in str(got.value)
+    assert math.isnan(got.value.error_estimate)
 
 
 @settings(max_examples=6, derandomize=True, database=None, deadline=None)
@@ -770,6 +795,48 @@ def test_f_bank_cold_and_warm_bits(domain, monkeypatch):
     assert max(d[0] for _, d in levels) >= contour._BANK_DEPTH
 
 
+def test_warm_grid_reads_only_the_banks(domain, monkeypatch):
+    # a row enters an f bank only after its plan's bank holds its nodes, so a
+    # level whose rows the f bank holds gathers z and w from the two banks:
+    # a second pass over the grid computes no node and no weighted value
+    gallery = build_test_gallery(domain, 27)
+    grid = [(f, x) for f in gallery for x in GRID_XS]
+    deep = [(NEAR, x) for x in (-0.3, -0.1, -0.02, -0.006)]
+    for f, x in grid + deep:
+        annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-10)
+    plan = contour._decomposition_contours(CONE, 1, 10)
+    for f in gallery + [NEAR]:
+        held = contour._f_bank(f, plan).rows.slot >= 0
+        assert held.any() and (plan.bank.slot[held] >= 0).all(), f.label
+    calls, points = [], []
+
+    def spy(name):
+        fn = getattr(contour, name)
+
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    for name in ("_banked_nodes", "_level_nodes", "_weighted"):
+        monkeypatch.setattr(contour, name, spy(name))
+    quotient = GalleryFunction.quotient
+
+    def spy_quotient(self, z):
+        points.append(np.ndim(z))
+        return quotient(self, z)
+
+    monkeypatch.setattr(GalleryFunction, "quotient", spy_quotient)
+    bits = [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-10)) for f, x in grid]
+    # f's quotient runs once per decomposition, at x for the left-hand side
+    assert not calls and points == [0] * len(grid)
+    # NEAR refines past the bank, where each level computes its nodes
+    bits += [_report_bits(annular_decomposition(f, x, CONE, M=1, N=10, tol=1e-10)) for f, x in deep]
+    assert "_level_nodes" in calls and "_banked_nodes" not in calls
+    assert hashlib.sha256(repr(bits).encode()).hexdigest() == GRID_REPORTS_SHA256
+
+
 # SHA-256 of `_report_bits` over the benchmark's grid (27 functions, 10 ray
 # points, tol 1e-10) and NEAR at four points, which refines past the bank;
 # written by the release whose Cauchy kernel is w / (z - x) over a bank of
@@ -889,8 +956,8 @@ def test_paths_together_past_the_budget_each_within_it(monkeypatch):
 def test_path_total_starts_from_zero(monkeypatch):
     # numpy's panel sums are never -0.0, but the totals must not rest on it:
     # with every primitive's sum -0.0 - 0.0j, a Python sum from 0j gives 0j
-    def panel_sums(z, values):
-        return np.full(z.shape[:-1], complex(-0.0, -0.0))
+    def panel_sums(values):
+        return np.full(values.shape[:-1], complex(-0.0, -0.0))
 
     monkeypatch.setattr(contour, "_panel_sums", panel_sums)
     paths = [full_circle(0j, 1.0), build_keyhole(CONE, N=10, M=1)]  # 2 and 4 primitives
