@@ -59,30 +59,6 @@ def disjoint_disk_content(pieces: list[ClippedPiece], alpha: float) -> ContentEs
     return ContentEstimate(upper=upper, lower_heuristic=C_LOW * upper, method="disjoint_sum")
 
 
-def _ring_mask(xs: np.ndarray, ys: np.ndarray, c: complex, lo: float, hi: float) -> np.ndarray:
-    """lo <= np.abs(z - c) <= hi on the grid z = xs[i] + 1j * ys[j], bit for bit.
-
-    Separable squared distances decide every cell outside a relative 1e-9
-    band about a threshold; band cells take `np.abs` of the complex difference
-    (`np.hypot` and Python's `abs` differ from it in the last bit).
-    """
-    s = 1.0 / hi
-    dx, dy = (xs - c.real) * s, (ys - c.imag) * s
-    d2 = (dx * dx)[:, None] + (dy * dy)[None, :]
-    mask = d2 < 1.0 - 1e-9
-    band = d2 <= 1.0 + 1e-9
-    if lo > 0.0:
-        l2 = (lo * s) ** 2
-        mask &= d2 > l2 * (1.0 + 1e-9)
-        band &= d2 >= l2 * (1.0 - 1e-9)
-    band ^= mask
-    idx = np.flatnonzero(band)
-    i, j = np.divmod(idx, len(ys))
-    d = np.abs(xs[i] + 1j * ys[j] - c)
-    mask.flat[idx] = (d >= lo) & (d <= hi)
-    return mask
-
-
 @functools.lru_cache(maxsize=1024)
 def _greedy_piece_upper(
     piece: ClippedPiece, alpha: float, mesh: float | None, pixel_budget: int
@@ -117,8 +93,14 @@ def _greedy_piece_upper(
     xs = x0 + (np.arange(k) + 0.5) * cell
     ys = y0 + (np.arange(k) + 0.5) * cell
     slack = cell * SQRT2 / 2.0  # half-diagonal: conservative intersection test
-    marked = _ring_mask(xs, ys, piece.hole.center, 0.0, piece.hole.radius + slack)
-    marked &= _ring_mask(xs, ys, piece.annulus_center, piece.r_inner - slack, piece.r_outer + slack)
+    centers = xs[:, None] + 1j * ys[None, :]
+    dh = np.abs(centers - piece.hole.center)
+    ra = np.abs(centers - piece.annulus_center)
+    marked = (
+        (dh <= piece.hole.radius + slack)
+        & (ra >= piece.r_inner - slack)
+        & (ra <= piece.r_outer + slack)
+    )
 
     def h(t: float) -> float:
         return t ** (1.0 + alpha)

@@ -5,7 +5,6 @@ All shapes are immutable; points are plain complex numbers.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -343,9 +342,10 @@ class ClippedPiece:
         y1 = min(hy1, a.imag + ro)
         return (x0, y0, x1, y1)
 
-    def boundary_samples(self, per_curve: int = 1024) -> np.ndarray:
-        """Points on the boundary of the clipped region (complex array)."""
-        unit = _unit_circle(per_curve)
+    def boundary_samples(self) -> np.ndarray:
+        """Points on the boundary of the clipped region (complex array), from
+        1024 equally spaced angles on each of its circles."""
+        unit = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
         pts = [self.hole.center + self.hole.radius * unit]
         if not self.is_whole:
             rr = np.abs(pts[0] - self.annulus_center)
@@ -362,17 +362,9 @@ class ClippedPiece:
         return _point_set_diameter(self.boundary_samples())
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_circle(per_curve: int) -> np.ndarray:
-    """exp(1j * th) at `per_curve` equally spaced angles th from 0, read-only."""
-    unit = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, per_curve, endpoint=False))
-    unit.setflags(write=False)
-    return unit
-
-
-# Rows per block.  With the ~600 boundary samples of a clipped piece, 32 rows
-# keep the float64 temporaries in cache: about twice as fast as 128 rows on a
-# 2-vCPU x86-64 VM.
+# Rows per block.  All pairs of the ~600 boundary samples of a clipped piece
+# at once would take several MB of float64 temporaries; a block of 32 rows
+# takes 32 * len(pts) floats per temporary.
 _DIAMETER_BLOCK = 32
 
 
@@ -388,8 +380,7 @@ def _point_set_diameter(pts: np.ndarray) -> float:
     Before that pass, points that cannot end a farthest pair are dropped.
     With r_i the distance of point i from the centroid, R = max r_i and `lo`
     the largest distance from the point at R, a pair at distance >= lo has
-    r_i + r_j >= lo, so both ends have r + R >= lo; the same holds for the
-    distances q_i from the midpoint of that far pair.  The relative margin of
+    r_i + r_j >= lo, so both ends have r + R >= lo.  The relative margin of
     1e-9 covers rounding, so the farthest pair and its float value survive.
     """
     if len(pts) < 2:
@@ -399,12 +390,8 @@ def _point_set_diameter(pts: np.ndarray) -> float:
     r = np.sqrt(rx * rx + ry * ry)
     far = int(r.argmax())
     fx, fy = x - x[far], y - y[far]
-    other = int((fx * fx + fy * fy).argmax())
-    lo = math.hypot(fx[other], fy[other])
-    mx, my = x - 0.5 * (x[far] + x[other]), y - 0.5 * (y[far] + y[other])
-    q = np.sqrt(mx * mx + my * my)
-    cut = lo * (1.0 - 1e-9)
-    keep = (r + r[far] >= cut) & (q + q.max() >= cut)
+    lo = math.sqrt(float((fx * fx + fy * fy).max()))
+    keep = r + r[far] >= lo * (1.0 - 1e-9)
     x, y = x[keep], y[keep]
     best = 0.0
     for s in range(0, len(x), _DIAMETER_BLOCK):
@@ -437,19 +424,6 @@ class DiskRegion:
     def contains(self, z: complex) -> bool:
         return abs(complex(z) - self.center) <= self.radius
 
-    def contains_many(self, z: np.ndarray) -> np.ndarray:
-        """`contains` of each point of a complex array.
-
-        numpy's complex `abs` can differ from Python's in the last bits, so
-        points within a relative 1e-12 of the radius are decided by the
-        scalar test.
-        """
-        d = np.abs(z - self.center)
-        ok = d <= self.radius
-        for i in np.flatnonzero(np.abs(d - self.radius) <= 1e-12 * self.radius):
-            ok[i] = self.contains(z[i])
-        return ok
-
     def diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -458,8 +432,8 @@ class DiskRegion:
         phi = 2.0 * math.pi * rng.random(count)
         return self.center + r * np.exp(1j * phi)
 
-    def extremal_pairs(self, count: int) -> list[tuple[complex, complex]]:
-        th = np.linspace(0.0, math.pi, count, endpoint=False)
+    def extremal_pairs(self) -> list[tuple[complex, complex]]:
+        th = np.linspace(0.0, math.pi, 24, endpoint=False)
         return [
             (
                 self.center + self.radius * complex(np.cos(t), np.sin(t)),
@@ -489,10 +463,6 @@ class AnnularSectorRegion:
             d += 2.0 * math.pi
         return d <= self.angle_span
 
-    def contains_many(self, z: np.ndarray) -> np.ndarray:
-        """`contains` of each point of a complex array."""
-        return np.array([self.contains(c) for c in z], dtype=bool)
-
     def diameter(self) -> float:
         return _point_set_diameter(self.boundary_points(256))
 
@@ -502,7 +472,7 @@ class AnnularSectorRegion:
         phi = self.angle_start + self.angle_span * rng.random(count)
         return self.center + r * np.exp(1j * phi)
 
-    def boundary_points(self, count: int = 48) -> np.ndarray:
+    def boundary_points(self, count: int) -> np.ndarray:
         m = max(count // 4, 4)
         th = np.linspace(self.angle_start, self.angle_start + self.angle_span, m)
         rr = np.linspace(self.r_inner, self.r_outer, m)
@@ -514,8 +484,8 @@ class AnnularSectorRegion:
         ]
         return np.concatenate(pts)
 
-    def extremal_pairs(self, count: int) -> list[tuple[complex, complex]]:
-        b = self.boundary_points(max(count, 16))
+    def extremal_pairs(self) -> list[tuple[complex, complex]]:
+        b = self.boundary_points(24)
         # pair opposite-index boundary points; sup pairs are among these
         half = len(b) // 2
         return [(complex(b[i]), complex(b[i + half])) for i in range(half)]

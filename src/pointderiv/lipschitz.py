@@ -177,7 +177,7 @@ def sample_pairs(region, pair_count: int, rng: np.random.Generator):
     and independent random pairs.  Returns two complex arrays."""
     zs: list[np.ndarray] = []
     ws: list[np.ndarray] = []
-    ex = region.extremal_pairs(24)
+    ex = region.extremal_pairs()
     if ex:
         zs.append(np.array([p[0] for p in ex]))
         ws.append(np.array([p[1] for p in ex]))
@@ -189,7 +189,7 @@ def sample_pairs(region, pair_count: int, rng: np.random.Generator):
         sep = diam * 2.0 ** (-k.astype(float))
         phi = 2.0 * math.pi * rng.random(n_diag)
         cand = base + sep * np.exp(1j * phi)
-        ok = region.contains_many(cand)
+        ok = np.array([region.contains(c) for c in cand], dtype=bool)
         zs.append(base[ok])
         ws.append(cand[ok])
     n_rand = max(pair_count - n_diag, 2)

@@ -2,14 +2,17 @@
 name it lists still exists, so a rename fails here rather than as a KeyError
 in `perfbench/run.py --trace 1`.  The benchmark's configs must also stay
 valid inputs of the package."""
+import contextlib
 import importlib
+import io
+import json
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from pointderiv import build_test_gallery
+from pointderiv import build_test_gallery, cli, content, lipschitz
 from pointderiv.cli import _parse_domain
 from pointderiv.lipschitz import GalleryError
 
@@ -71,3 +74,24 @@ def test_preset_galleries_fit_benchmark_domains(name):
                 f.validate_for_domain(domain)
             count += 1
     assert count >= CONFIGS[name]["gallery"]["count"]
+
+
+def test_second_pass_covers_and_samples_nothing(tmp_path):
+    # covers and seminorm pairs depend on the domain alone, so the first pass
+    # of the seven commands over the benchmark's configs draws all of them
+    memos = (content._greedy_piece_upper, lipschitz._seminorm_pairs)
+    for memo in memos:
+        memo.cache_clear()
+    misses = []
+    for run in range(2):
+        for name, raw in CONFIGS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(raw))
+            for command in cli.COMMANDS:
+                argv = [command, "--config", str(path), "--out", str(tmp_path / f"{run}-{name}-{command}")]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, (name, command)
+        misses.append([memo.cache_info().misses for memo in memos])
+    # the 16 clipped pieces of the clipped config; the three lemma-check disks
+    # and the unit disk of sweep
+    assert misses == [[16, 4], [16, 4]]

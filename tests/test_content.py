@@ -16,7 +16,7 @@ from pointderiv import (
     greedy_cover_upper,
 )
 from pointderiv import content
-from pointderiv.content import _ring_mask, annulus_content
+from pointderiv.content import annulus_content
 from pointderiv.geometry import annulus_radii
 
 
@@ -230,6 +230,33 @@ def test_clipped_cover_bitwise_oracle(n, outer, frac, offset, angle, base, alpha
     assert got == _oracle_piece_upper(piece, alpha, mesh)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    outer=st.booleans(),
+    frac=st.floats(0.02, 0.98),
+    offset=st.floats(-0.98, 0.98),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    base=st.complex_numbers(max_magnitude=0.4),
+    alpha=st.floats(0.01, 0.99),
+    k=st.integers(-20, 20),
+)
+def test_clipped_cover_scale_covariance(n, outer, frac, offset, angle, base, alpha, k):
+    # scaling the piece, its base point and its annulus radii by 2^k scales
+    # every length of the cover exactly, so only the powers t^(1+alpha) round
+    ri, ro = annulus_radii(n)
+    radius = (ro - ri) * frac
+    hole = Disk(base + ((ro if outer else ri) + offset * radius) * cmath.exp(1j * angle), radius)
+    piece = ClippedPiece(hole, base, n, ri, ro, is_whole=False)
+    s = 2.0**k
+    scaled = ClippedPiece(
+        Disk(s * hole.center, s * radius), s * base, n, s * ri, s * ro, is_whole=False
+    )
+    want = 2.0 ** (k * (1.0 + alpha)) * greedy_cover_upper([piece], alpha).upper
+    assert want > 0.0
+    assert abs(greedy_cover_upper([scaled], alpha).upper - want) <= 1e-14 * want
+
+
 def test_clipped_config_covers_bitwise_oracle():
     # the holes of the CLI's clipped config, on the dyadic circles 2^-k
     holes = [
@@ -266,39 +293,3 @@ def test_cover_memo_cold_and_warm_bits():
     warm = [repr(annulus_content(pieces, 0.5)) for pieces in annuli]
     assert memo.cache_info().misses == 16
     assert warm == cold
-
-
-def test_ring_mask_band_is_decided_by_np_abs():
-    # thresholds equal to np.abs(z) for points where np.hypot and Python's
-    # abs round to another float: a band fallback using them fails here
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
-    a = np.abs(z)
-    others = [np.hypot(z.real, z.imag), np.array([abs(complex(c)) for c in z])]
-    above = np.flatnonzero(np.all([o > a for o in others], axis=0))
-    below = np.flatnonzero(np.all([o < a for o in others], axis=0))
-    if not len(above) or not len(below):
-        pytest.skip("np.hypot and abs agree with np.abs on this numpy build")
-    for i in above[:20]:
-        xs, ys = np.array([z[i].real]), np.array([z[i].imag])
-        assert _ring_mask(xs, ys, 0j, 0.0, a[i]).tolist() == [[True]]
-        assert _ring_mask(xs, ys, 0j, a[i], 2.0 * a[i]).tolist() == [[True]]
-    for i in below[:20]:
-        xs, ys = np.array([z[i].real]), np.array([z[i].imag])
-        assert _ring_mask(xs, ys, 0j, a[i], 2.0 * a[i]).tolist() == [[True]]
-        assert _ring_mask(xs, ys, 0j, 0.0, np.nextafter(a[i], 0.0)).tolist() == [[False]]
-
-
-def test_ring_mask_equals_complex_grid():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        k = int(rng.choice([1, 2, 7, 64]))
-        xs = np.sort(rng.standard_normal(k))
-        ys = np.sort(rng.standard_normal(k))
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        # thresholds on grid distances, so some cells sit exactly on them
-        d = np.abs(xs[:, None] + 1j * ys[None, :] - c)
-        lo, hi = np.sort(rng.choice(d.ravel(), 2))
-        lo = float(lo) if rng.random() < 0.8 else -float(lo)
-        want = (d >= lo) & (d <= hi)
-        assert np.array_equal(_ring_mask(xs, ys, c, lo, float(hi)), want)

@@ -12,7 +12,6 @@ from pointderiv import (
     ClippedPiece,
     ConeSpec,
     Disk,
-    DiskRegion,
     GalleryError,
     GalleryFunction,
     GeometryError,
@@ -25,7 +24,6 @@ from pointderiv import (
 from pointderiv.geometry import (
     _point_set_diameter,
     _sector_distance,
-    _unit_circle,
     annulus_minus_cone_region,
     annulus_radii,
     check_ray,
@@ -382,29 +380,6 @@ def test_pruned_diameter_equals_all_pairs_on_arcs(arcs):
         [c + r * np.exp(1j * np.linspace(a, a + span, m)) for c, r, a, span, m in arcs]
     )
     assert _point_set_diameter(pts) == _pairwise_diameter(pts)
-
-
-def test_unit_circle_is_memoised_and_read_only():
-    unit = _unit_circle(1024)
-    assert _unit_circle(1024) is unit
-    assert not unit.flags.writeable
-    with pytest.raises(ValueError):
-        unit[0] = 0.0
-
-
-def test_disk_contains_many_equals_contains():
-    rng = np.random.default_rng(5)
-    region = DiskRegion(0.3 - 0.2j, 0.7)
-    # radii anywhere in 1.2 times the disk, then on the circle and one ulp
-    # inside and outside it
-    ulp = [region.radius, np.nextafter(region.radius, 0.0), np.nextafter(region.radius, 2.0)]
-    r = np.concatenate([1.2 * region.radius * np.sqrt(rng.random(4000)), np.repeat(ulp, 1000)])
-    z = region.center + r * np.exp(2j * math.pi * rng.random(len(r)))
-    want = np.array([region.contains(complex(c)) for c in z])
-    got = region.contains_many(z)
-    assert got.dtype == bool
-    assert np.array_equal(got, want)
-    assert want[4000:].any() and not want[4000:].all()
 
 
 def test_ray_point():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from pointderiv import (
+    ConeSpec,
     Disk,
     DiskRegion,
     GalleryFunction,
@@ -18,6 +20,7 @@ from pointderiv import (
     seminorm_estimate,
 )
 from pointderiv.contour import full_circle
+from pointderiv.geometry import annulus_minus_cone_region
 from pointderiv.lipschitz import GalleryError, _seminorm_pairs, disk_cauchy_transform
 
 CT_DISK = Disk(0.5, 0.125)
@@ -294,6 +297,23 @@ def test_seminorm_pairs_are_read_only_and_drawn_once():
         with pytest.raises(GalleryError, match="pair_count"):
             _seminorm_pairs(region, 0.5, 99, 0)
     assert _seminorm_pairs.cache_info().currsize == 1
+
+
+SEMINORM_PAIRS_SHA256 = "6998ef8dbb41e84a93a9313bed9fc2a802836eba03e3eaf135b8641099cb6aab"
+
+
+def test_seminorm_pairs_bits():
+    # the regions D_n of the acceptance criteria's cone, whose near-diagonal
+    # candidates are filtered by the sector's `contains`, then the disks of
+    # the lemma checks and the unit disk
+    cone = ConeSpec(0j, math.pi, math.pi / 6, 0.5, 0.45)
+    args = [(annulus_minus_cone_region(cone, n), 0.8, 4000, s) for n in (3, 5, 8) for s in (0, 5)]
+    args += [(DiskRegion(0j, r), 0.5, 4000, s) for r in (0.4, 0.2, 0.1, 1.0) for s in (0, 5)]
+    h = hashlib.sha256()
+    for a in args:
+        for arr in _seminorm_pairs(*a):
+            h.update(arr.tobytes())
+    assert h.hexdigest() == SEMINORM_PAIRS_SHA256
 
 
 def _lemma_bits():
